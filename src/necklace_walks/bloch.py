@@ -93,6 +93,8 @@ class FullSpectrum:
 
     Entry a = k * M + n holds branch n of sector k.  ``vectors[:, a]`` is
     the lifted eigenvector; together the columns form an orthonormal basis.
+    ``sector_vectors[k][:, n]`` is the sector vector it is lifted from, or
+    None for a spectrum built from lifted vectors alone.
     """
 
     necklace: NecklaceSpec
@@ -100,6 +102,7 @@ class FullSpectrum:
     k_index: np.ndarray         # (K*M,) momentum index of each entry
     n_index: np.ndarray         # (K*M,) branch index of each entry
     vectors: np.ndarray         # (N, K*M) complex, lifted eigenvectors
+    sector_vectors: np.ndarray | None = None   # (K, M, M) complex, or None
 
     @property
     def size(self) -> int:
@@ -132,11 +135,11 @@ def full_spectrum(necklace: NecklaceSpec, threads: int | None = None) -> FullSpe
         # (K, M, M): pearl block j of branch n is phases[j] * vectors[:, n]
         lifted = (phases[:, None, None] * sector.vectors[None, :, :])
         lifted = lifted.reshape(K * M, M) / math.sqrt(K)
-        return sector.eigenvalues, lifted
+        return sector.eigenvalues, lifted, sector.vectors
 
     results = ordered_map(one_sector, range(K), threads=threads)
-    eigenvalues = np.concatenate([vals for vals, _ in results])
-    vectors = np.concatenate([cols for _, cols in results], axis=1)
+    eigenvalues = np.concatenate([vals for vals, _, _ in results])
+    vectors = np.concatenate([cols for _, cols, _ in results], axis=1)
     k_index = np.repeat(np.arange(K), M)
     n_index = np.tile(np.arange(M), K)
     return FullSpectrum(
@@ -145,6 +148,7 @@ def full_spectrum(necklace: NecklaceSpec, threads: int | None = None) -> FullSpe
         k_index=k_index,
         n_index=n_index,
         vectors=vectors,
+        sector_vectors=np.stack([y for _, _, y in results]),
     )
 
 

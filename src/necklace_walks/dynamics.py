@@ -13,7 +13,9 @@ its uniform average over [0, T] has the exact closed form
 with kernel G(0, T) = 1 and G(D, T) = (1 - exp(-i D T)) / (i D T), and the
 T -> infinity limit keeps only pairs inside the same degenerate eigenspace.
 No quadrature is involved; the quadrature route lives in
-:mod:`necklace_walks.oracle` as an independent cross-check.
+:mod:`necklace_walks.oracle` as an independent cross-check.  The pair sum
+runs in sector form when the spectrum carries its sector vectors, and
+densely over the lifted vectors otherwise.
 
 Total variation distance follows the un-halved convention
 ``sum_x |p_x - q_x|`` with range [0, 2].
@@ -21,6 +23,7 @@ Total variation distance follows the un-halved convention
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -185,6 +188,168 @@ class _PairAverager:
         return 2.0 * self._bound_sum / T
 
 
+def _exact_kernel(x: np.ndarray) -> np.ndarray:
+    """G at D T = x, free of cancellation: sinc(x/pi) - i (x/2) sinc(x/(2 pi))^2."""
+    return np.sinc(x / math.pi) - 0.5j * x * np.sinc(x / (2.0 * math.pi)) ** 2
+
+
+class _SectorAverager:
+    """The pair sums of :class:`_PairAverager` in Bloch form, for any start.
+
+    With overlaps c_kn = <psi_kn|phi_0> (an FFT of phi_0 over pearls) and
+    A_kn[m] = y_kn[m] c_kn, the average at vertex (j, m) is
+
+        pbar_(j,m)(T) = (1/K) sum_q exp(i p_q j) S_q[m],
+        S_q[m] = sum_{k,n,l} A_kn[m] conj(A_{k-q,l}[m]) G(lambda_kn - lambda_{k-q,l}, T),
+
+    one inverse FFT over q.  S_{K-q} = conj(S_q), so only q = 0..K//2 is
+    formed.  Pairs inside one degenerate group have G = 1 and give the
+    limit.  Any other pair has G = (1 - u_a conj(u_b)) / (i D T) with
+    u = exp(-i lambda T), so a T costs K*M exponentials and one contraction
+    of their products against the T-independent A conj(A) / D.  That form
+    loses about eps / |D T| relative accuracy, so pairs with |D| below
+    ``delta`` take the exact kernel at every T, and every pair does when
+    ``delta * T`` is small.
+    """
+
+    NEAR_GAP_REL = 1e-3
+    SMALL_DT = 2e-4
+
+    def __init__(self, spec: FullSpectrum, phi0: np.ndarray, tau_deg: float | None):
+        K, M = spec.necklace.K, spec.necklace.pearl.m
+        phi = _check_state(phi0, spec.necklace.n_vertices)
+        if tau_deg is None:
+            tau_deg = default_degeneracy_tolerance(spec.eigenvalues)
+        self.partition = degeneracy_partition(spec.eigenvalues, tau_deg)
+        self.K, self.M, self.half = K, M, K // 2 + 1
+        self.lam = spec.eigenvalues.reshape(K, M)
+        self.gid = self.partition.group_id.reshape(K, M)
+        self.delta = self.NEAR_GAP_REL * max(float(np.abs(self.lam).max()), 1.0)
+        # sum_j exp(-i p_k j) phi_0[j, m] over pearls j = 1..K
+        phi_k = np.exp(-2j * np.pi * np.arange(K) / K)[:, None] * np.fft.fft(
+            phi.reshape(K, M), axis=0)
+        y = spec.sector_vectors
+        self.overlaps = np.einsum("kmn,km->kn", y.conj(), phi_k) / math.sqrt(K)
+        self.amps = (y * self.overlaps[:, None, :]).transpose(0, 2, 1)   # [k, n, m]
+        self._same = self._same_group_sum()
+        self._phase_buffer = None
+        self.limiting = _finalize_distribution(self._on_vertices(self._same))
+
+    def _on_vertices(self, s: np.ndarray) -> np.ndarray:
+        """(1/K) sum_q exp(i p_q j) S_q[m] for pearls j = 1..K, flattened."""
+        p = np.fft.irfft(s, n=self.K, axis=0)    # row r is pearl j = r mod K
+        return np.roll(p, -1, axis=0).ravel()
+
+    def _same_group_sum(self) -> np.ndarray:
+        """S_q over pairs inside one degenerate group, where G = 1.
+
+        Small groups list their pairs; a group with more than sqrt(K)
+        members, such as a flat band, is the circular autocorrelation over
+        k of its summed amplitudes, taken by FFT.
+        """
+        K, M = self.K, self.M
+        amps = self.amps.reshape(K * M, M)
+        sector = np.repeat(np.arange(K), M)
+        s = np.zeros((K, M), dtype=complex)
+        by_size: dict[int, list[np.ndarray]] = {}
+        for group in self.partition.groups:
+            by_size.setdefault(len(group), []).append(group)
+        for size, groups in by_size.items():
+            idx = np.array(groups)                        # (groups, size)
+            if size * size <= K:
+                q = (sector[idx][:, :, None] - sector[idx][:, None, :]) % K
+                terms = amps[idx][:, :, None, :] * amps[idx][:, None, :, :].conj()
+                np.add.at(s, q.ravel(), terms.reshape(-1, M))
+            else:
+                z = np.zeros((len(groups), K, M), dtype=complex)
+                np.add.at(z, (np.arange(len(groups))[:, None], sector[idx]), amps[idx])
+                s += np.fft.ifft(np.abs(np.fft.fft(z, axis=1)) ** 2, axis=1).sum(axis=0)
+        return s[: self.half]
+
+    @functools.cached_property
+    def _pairs(self) -> dict:
+        """T-independent tables over pairs a = (k, n), b = (k - q, l), q <= K/2.
+
+        Laid out [q, n, l, k] so that the long k axis is innermost, with
+        the vertex m ahead of it in the weighted products.  Built on first
+        use, so that the limit alone never pays for them.
+        """
+        K, M, h = self.K, self.M, self.half
+        kb = (np.arange(K)[None, :] - np.arange(h)[:, None]) % K        # (q, k)
+        lam, gid, amps = self.lam.T, self.gid.T, self.amps.transpose(2, 1, 0)
+        gaps = lam[None, :, None, :] - lam[:, kb].transpose(1, 0, 2)[:, None]
+        cross = gid[None, :, None, :] != gid[:, kb].transpose(1, 0, 2)[:, None]
+        near = cross & (np.abs(gaps) < self.delta)
+        far = cross & ~near
+        amps_b = amps[:, :, kb].transpose(2, 0, 1, 3)                    # [q, m, l, k]
+        terms = amps[None, :, :, None, :] * amps_b.conj()[:, :, None]    # [q, m, n, l, k]
+        near_terms = np.moveaxis(terms, 1, -1)[near]
+        terms *= np.where(far, 1.0 / np.where(far, gaps, 1.0), 0.0)[:, None]
+        weighted = terms.reshape(h, M, -1)
+        # Each ordered cross pair of the full sum once: a listed pair with
+        # 2q != 0 mod K also stands for its reverse, at K - q.
+        pop = np.abs(self.overlaps.T) ** 2
+        reverse = (2 * np.arange(h) % K != 0)[:, None, None, None]
+        population = pop[None, :, None, :] + reverse * pop[:, kb].transpose(1, 0, 2)[:, None]
+        inv_abs = np.where(cross, 1.0 / np.where(cross, np.abs(gaps), 1.0), 0.0)
+        return {
+            "gaps": gaps.reshape(h, M * M * K),
+            "weighted": weighted,
+            "total": weighted.sum(axis=2),
+            "near_q": np.nonzero(near)[0],
+            "near_gaps": gaps[near],
+            "near_terms": near_terms,
+            "bound_sum": float((population * inv_abs).sum()),
+        }
+
+    def _phases(self, T: float) -> np.ndarray:
+        """u_a conj(u_b) on the [q, n, l, k] layout, u = exp(-i lambda T).
+
+        Written into one buffer kept for the averager's life: a fresh array
+        of this size per T costs more in page faults than the products.
+        """
+        K, M, h = self.K, self.M, self.half
+        if self._phase_buffer is None:
+            self._phase_buffer = np.empty((h, M, M, K), dtype=complex)
+        u = np.exp(-1j * T * self.lam.T)                                 # [n, k]
+        # window s of the doubled row starts at k = s; q needs s = K - q
+        doubled = np.concatenate([u.conj(), u.conj()], axis=1)
+        u_b = np.lib.stride_tricks.sliding_window_view(doubled, K, axis=1)[:, K:K - h:-1]
+        np.multiply(u[None, :, None, :], u_b.transpose(1, 0, 2)[:, None],
+                    out=self._phase_buffer)
+        return self._phase_buffer.reshape(h, -1, 1)
+
+    def averaged(self, T: float) -> np.ndarray:
+        if T <= 0.0:
+            raise InvalidParameterError(f"averaging window must be positive, got {T}")
+        pairs = self._pairs
+        if self.delta * T < self.SMALL_DT:
+            gaps = pairs["gaps"]
+            kernel = gaps * _exact_kernel(gaps * T)
+            cross = np.einsum("qp,qmp->qm", kernel, pairs["weighted"])
+        else:
+            phased = np.matmul(pairs["weighted"], self._phases(T))[..., 0]
+            cross = (pairs["total"] - phased) / (1j * T)
+        near = pairs["near_terms"] * _exact_kernel(pairs["near_gaps"] * T)[:, None]
+        np.add.at(cross, pairs["near_q"], near)
+        return _finalize_distribution(self._on_vertices(self._same + cross))
+
+    def bound(self, T: float) -> float:
+        if T <= 0.0:
+            raise InvalidParameterError(f"averaging window must be positive, got {T}")
+        return 2.0 * self._pairs["bound_sum"] / T
+
+
+def _averager(spec: FullSpectrum, phi0: np.ndarray, tau_deg: float | None):
+    """Sector-pair averager when the spectrum carries its sector vectors.
+
+    A spectrum built from lifted vectors alone takes the dense route.
+    """
+    if spec.sector_vectors is None:
+        return _PairAverager(spec, phi0, tau_deg)
+    return _SectorAverager(spec, phi0, tau_deg)
+
+
 def time_averaged(
     spec: FullSpectrum, phi0: np.ndarray, T: float, tau_deg: float | None = None
 ) -> np.ndarray:
@@ -193,7 +358,7 @@ def time_averaged(
     Uses the exact kernel G(D, T); the D = 0 branch is taken for pairs in
     the same degenerate group of the partition at ``tau_deg``.
     """
-    return _PairAverager(spec, phi0, tau_deg).averaged(T)
+    return _averager(spec, phi0, tau_deg).averaged(T)
 
 
 def limiting_distribution(
@@ -205,7 +370,7 @@ def limiting_distribution(
     degenerate eigenspaces, which makes the result independent of the
     basis chosen inside each degenerate group.
     """
-    return _PairAverager(spec, phi0, tau_deg).limiting
+    return _averager(spec, phi0, tau_deg).limiting
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -226,7 +391,7 @@ def tv_convergence_bound(
     of eigenpairs lying in different degenerate groups.  Dominates the
     exact total variation distance at every T.
     """
-    return _PairAverager(spec, phi0, tau_deg).bound(T)
+    return _averager(spec, phi0, tau_deg).bound(T)
 
 
 @dataclass(frozen=True)
@@ -235,13 +400,16 @@ class MixingResult:
 
     ``t_mix`` is the smallest grid time from which the total variation
     distance stays at or below ``epsilon`` on the rest of the grid, or
-    None if that never happens up to ``grid[-1]``.
+    None if that never happens up to ``grid[-1]``.  ``bound_at_unit`` is
+    :func:`tv_convergence_bound` at T = 1 from the same averager; the
+    bound at T is ``bound_at_unit / T``.
     """
 
     epsilon: float
     t_mix: float | None
     grid: np.ndarray
     tv_values: np.ndarray
+    bound_at_unit: float | None = None
 
     @property
     def tv_at_hi(self) -> float:
@@ -280,7 +448,7 @@ def mixing_time(
     """
     if not (0.0 < epsilon <= 2.0):
         raise InvalidParameterError(f"epsilon must lie in (0, 2], got {epsilon}")
-    averager = _PairAverager(spec, phi0, tau_deg)
+    averager = _averager(spec, phi0, tau_deg)
     grid = geometric_grid(t_lo, t_hi, ratio)
     tvs = np.array(
         [tv_distance(averager.averaged(T), averager.limiting) for T in grid]
@@ -290,7 +458,8 @@ def mixing_time(
         t_mix = None
     else:
         t_mix = float(grid[int(np.argmax(ok_from_here))])
-    return MixingResult(epsilon=epsilon, t_mix=t_mix, grid=grid, tv_values=tvs)
+    return MixingResult(epsilon=epsilon, t_mix=t_mix, grid=grid, tv_values=tvs,
+                        bound_at_unit=averager.bound(1.0))
 
 
 __all__ = [

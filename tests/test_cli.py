@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from necklace_walks import cli
 from necklace_walks.cli import main
 
 
@@ -242,6 +243,23 @@ class TestExitCodes:
     def test_config_error_is_one(self, capsys):
         code, _, _ = run_cli(["spectrum", "--cycle", "--K", "2"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("k_arg, message", [
+        ("1..1000000000", "single --K value"),
+        ("8,16", "single --K value"),
+        ("eight", "bad --K value"),
+    ])
+    def test_single_k_command_rejects_list_before_expanding(
+            self, k_arg, message, monkeypatch, capsys):
+        def expand(*args, **kwargs):
+            raise AssertionError("a single-K command expanded its --K argument")
+
+        monkeypatch.setattr(cli, "_parse_int_list", expand)
+        code, _, err = run_cli(
+            ["mix", "--cycle", "--K", k_arg, "--start", "0", "--eps", "0.1"], capsys
+        )
+        assert code == 1
+        assert message in err
 
     def test_io_error_is_two(self, capsys):
         code, _, err = run_cli(

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from necklace_walks import (
     AmbiguousDegeneracyWarning,
@@ -15,6 +18,7 @@ from necklace_walks import (
     full_spectrum,
     limiting_distribution,
     make_comb_pearl,
+    make_custom_pearl,
     make_cycle_pearl,
     mixing_time,
     probability_at_time,
@@ -24,6 +28,7 @@ from necklace_walks import (
     tv_distance,
     vertex_state,
 )
+from necklace_walks.dynamics import _averager, _PairAverager, _SectorAverager
 
 
 def cycle_setup(K):
@@ -239,3 +244,93 @@ class TestMixingTime:
         _, spec, phi = cycle_setup(4)
         with pytest.raises(InvalidParameterError):
             mixing_time(spec, phi, 0.0, t_hi=10.0)
+
+
+EQUIVALENCE_TIMES = (1e-6, 1e-3, 0.37, 1.0, 37.0, 1e5, 1e8)
+
+
+def without_sector_vectors(spec):
+    """The same spectrum as a caller holding only lifted vectors sees it."""
+    return dataclasses.replace(spec, sector_vectors=None)
+
+
+def assert_routes_agree(spec, phi):
+    """Sector-pair and dense averagers agree on pi, pbar(T) and the bound."""
+    sector = _averager(spec, phi, None)
+    dense = _averager(without_sector_vectors(spec), phi, None)
+    assert isinstance(sector, _SectorAverager)
+    assert isinstance(dense, _PairAverager)
+    assert np.abs(sector.limiting - dense.limiting).max() < 1e-12
+    for T in EQUIVALENCE_TIMES:
+        assert np.abs(sector.averaged(T) - dense.averaged(T)).max() < 1e-12
+        assert sector.bound(T) == pytest.approx(dense.bound(T), rel=1e-12)
+    return sector
+
+
+def assert_mixing_agrees(spec, phi, ratio=1.05):
+    sector = mixing_time(spec, phi, 0.1, t_hi=1e5, ratio=ratio)
+    dense = mixing_time(without_sector_vectors(spec), phi, 0.1, t_hi=1e5, ratio=ratio)
+    assert np.abs(sector.tv_values - dense.tv_values).max() < 1e-12
+    assert sector.t_mix == dense.t_mix
+    assert sector.bound_at_unit == pytest.approx(dense.bound_at_unit, rel=1e-12)
+
+
+class TestSectorRoute:
+    @pytest.mark.parametrize("pearl, K, start", [
+        (make_cycle_pearl(), 40, (7, 1)),
+        (make_comb_pearl(1), 20, (3, 2)),
+        (make_comb_pearl(2), 24, (5, 3)),     # flat band: one group of K members
+    ])
+    def test_vertex_starts(self, pearl, K, start):
+        neck = NecklaceSpec(pearl, K)
+        spec = full_spectrum(neck)
+        phi = vertex_state(neck, *start)
+        assert_routes_agree(spec, phi)
+        assert_mixing_agrees(spec, phi)
+
+    def test_custom_pearl_vertex_start(self, custom_pearl):
+        neck = NecklaceSpec(custom_pearl, 9)
+        spec = full_spectrum(neck)
+        phi = vertex_state(neck, 2, 3)
+        assert_routes_agree(spec, phi)
+        assert_mixing_agrees(spec, phi)
+
+    def test_near_pairs_take_the_exact_kernel(self):
+        # d=1, K=96 has cross-group pairs closer than the guard threshold
+        neck = NecklaceSpec(make_comb_pearl(1), 96)
+        spec = full_spectrum(neck)
+        phi = vertex_state(neck, 6, 1)
+        sector = assert_routes_agree(spec, phi)
+        assert len(sector._pairs["near_q"]) > 0
+        assert_mixing_agrees(spec, phi, ratio=1.3)
+
+    def test_superposition_start(self, rng):
+        neck = NecklaceSpec(make_comb_pearl(2), 12)
+        spec = full_spectrum(neck)
+        phi = rng.normal(size=neck.n_vertices) + 1j * rng.normal(size=neck.n_vertices)
+        phi /= np.linalg.norm(phi)
+        assert_routes_agree(spec, phi)
+        assert_mixing_agrees(spec, phi)
+
+    def test_eigenvector_start(self):
+        neck = NecklaceSpec(make_comb_pearl(1), 10)
+        spec = full_spectrum(neck)
+        psi = spec.vectors[:, 3]
+        sector = assert_routes_agree(spec, psi)
+        assert np.abs(sector.averaged(5.0) - np.abs(psi) ** 2).max() < 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_connected_pearls(self, data):
+        m = data.draw(st.integers(1, 6), label="m")
+        tree = [(data.draw(st.integers(1, v - 1)), v) for v in range(2, m + 1)]
+        others = [(a, b) for a in range(1, m + 1) for b in range(a + 1, m + 1)
+                  if (a, b) not in tree]
+        extra = data.draw(st.lists(st.sampled_from(others), unique=True), label="extra") \
+            if others else []
+        roots = data.draw(st.tuples(st.integers(1, m), st.integers(1, m)), label="roots")
+        pearl = make_custom_pearl(m, tree + extra, *roots)
+        K = data.draw(st.integers(3, 40), label="K")
+        neck = NecklaceSpec(pearl, K)
+        start = data.draw(st.tuples(st.integers(1, K), st.integers(1, m)), label="start")
+        assert_routes_agree(full_spectrum(neck), vertex_state(neck, *start))
