@@ -25,6 +25,7 @@ from .comb_analytics import (
     comb1_coefficients,
     comb1_high_k,
     comb1_limiting,
+    comb1_limiting_distribution,
     cycle_limiting,
 )
 from .dynamics import (
@@ -102,6 +103,7 @@ __all__ = [
     "comb1_coefficients",
     "comb1_high_k",
     "comb1_limiting",
+    "comb1_limiting_distribution",
     "comb2_closed_form",
     "cos_bound_constant",
     "cross_sector_min_gap",

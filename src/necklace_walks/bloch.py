@@ -9,8 +9,10 @@ index k, the M x M sector matrix
 
 where P is the pearl adjacency and Q_k carries the inter-pearl links:
 corner phases exp(-i p_k) / exp(+i p_k) between the two roots, or a
-single 2 cos(p_k) diagonal entry when the roots coincide.  Sector
-eigenvectors are lifted back to the necklace by the plane-wave phases.
+single 2 cos(p_k) diagonal entry when the roots coincide.  Y_{K-k} is
+the complex conjugate of Y_k, so only k = 0..K//2 are diagonalized, in one
+stacked solve.  Sector eigenvectors are lifted back to the necklace by the
+plane-wave phases only when a dense basis is read.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eig import EigenDecomposition, eigh, fix_phases
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NumericalFailureError
 from .graphs import NecklaceSpec, PearlSpec
-from .parallel import ordered_map
+from .parallel import resolve_thread_count
 
 
 def momentum(k: int, K: int) -> float:
@@ -35,15 +37,20 @@ def momentum(k: int, K: int) -> float:
     return 2.0 * math.pi * k / K
 
 
-def sector_matrix(pearl: PearlSpec, p_k: float) -> np.ndarray:
-    """Hermitian M x M sector matrix Y_k = P + Q_k at momentum ``p_k``."""
-    y = pearl.adjacency().astype(complex)
+def sector_matrix(pearl: PearlSpec, p_k) -> np.ndarray:
+    """Hermitian M x M sector matrix Y_k = P + Q_k at momentum ``p_k``.
+
+    An array of momenta gives the stack of their sector matrices, of shape
+    ``p_k.shape + (M, M)``.
+    """
+    p = np.asarray(p_k, dtype=float)
+    y = np.broadcast_to(pearl.adjacency(), p.shape + (pearl.m, pearl.m)).astype(complex)
     ri, ro = pearl.root_in - 1, pearl.root_out - 1
     if pearl.single_root:
-        y[ri, ri] += 2.0 * math.cos(p_k)
+        y[..., ri, ri] += 2.0 * np.cos(p)
     else:
-        y[ri, ro] += np.exp(-1j * p_k)
-        y[ro, ri] += np.exp(+1j * p_k)
+        y[..., ri, ro] += np.exp(-1j * p)
+        y[..., ro, ri] += np.exp(+1j * p)
     return y
 
 
@@ -75,34 +82,75 @@ def sector_spectrum(pearl: PearlSpec, k: int, K: int) -> SectorSpectrum:
     )
 
 
+def _lift(y: np.ndarray, k: np.ndarray, K: int) -> np.ndarray:
+    """Plane-wave lift of sector vectors to the necklace.
+
+    ``y[s, :, c]`` is vector c of sector ``k[s]``.  Column (s, c) of the
+    result, in that order, places ``exp(i p_k j) / sqrt(K) * y[s, :, c]``
+    on pearl j for j = 1..K.
+    """
+    _, M, C = y.shape
+    p = 2.0 * np.pi * np.asarray(k) / K
+    phases = np.exp(1j * p[None, :] * np.arange(1, K + 1)[:, None])       # [j, s]
+    lifted = np.multiply(phases[:, None, :, None], y.transpose(1, 0, 2)[None], order="C")
+    lifted /= math.sqrt(K)
+    return lifted.reshape(K * M, len(p) * C)
+
+
 def lift_eigenvector(y: np.ndarray, k: int, K: int) -> np.ndarray:
     """Lift a sector eigenvector to the full necklace.
 
     The lifted vector places ``exp(i p_k j) / sqrt(K) * y`` on pearl j for
     j = 1..K, giving a unit vector of length K * len(y).
     """
+    momentum(k, K)   # rejects k outside 0..K-1
     y = np.asarray(y, dtype=complex)
-    p_k = momentum(k, K)
-    phases = np.exp(1j * p_k * np.arange(1, K + 1))
-    return (phases[:, None] * y[None, :]).ravel() / math.sqrt(K)
+    return _lift(y[None, :, None], np.array([k]), K)[:, 0]
+
+
+class _LiftedBasis:
+    """``FullSpectrum.vectors``: the dense (N, N) basis, lifted on first read.
+
+    A spectrum constructed with ``vectors=`` keeps them.  Otherwise the
+    first read lifts ``sector_vectors`` and caches the result, so that
+    callers working in sector form never pay for the O(N^2) array.  As a
+    dataclass field default the descriptor reads None, so ``vectors`` may
+    be omitted.
+    """
+
+    def __get__(self, spec, owner=None):
+        if spec is None:
+            return None
+        lifted = spec.__dict__.get("_lifted")
+        if lifted is None:
+            if spec.sector_vectors is None:
+                raise InvalidParameterError("spectrum holds neither lifted nor sector vectors")
+            K = spec.necklace.K
+            lifted = spec.__dict__["_lifted"] = _lift(spec.sector_vectors, np.arange(K), K)
+        return lifted
+
+    def __set__(self, spec, value):
+        spec.__dict__["_lifted"] = value
 
 
 @dataclass(frozen=True)
 class FullSpectrum:
     """All K*M labeled eigenpairs of a necklace Hamiltonian.
 
-    Entry a = k * M + n holds branch n of sector k.  ``vectors[:, a]`` is
-    the lifted eigenvector; together the columns form an orthonormal basis.
-    ``sector_vectors[k][:, n]`` is the sector vector it is lifted from, or
-    None for a spectrum built from lifted vectors alone.
+    Entry a = k * M + n holds branch n of sector k.  ``sector_vectors[k][:, n]``
+    is its unit sector eigenvector, phase-fixed as in :mod:`necklace_walks.eig`.
+    ``vectors[:, a]`` is the eigenvector lifted to the necklace; together the
+    columns form an orthonormal basis.  It is built from the sector vectors
+    on first read, unless the spectrum was constructed from lifted vectors
+    alone (``sector_vectors`` None).
     """
 
     necklace: NecklaceSpec
     eigenvalues: np.ndarray     # (K*M,), ordered by (k, n)
     k_index: np.ndarray         # (K*M,) momentum index of each entry
     n_index: np.ndarray         # (K*M,) branch index of each entry
-    vectors: np.ndarray         # (N, K*M) complex, lifted eigenvectors
-    sector_vectors: np.ndarray | None = None   # (K, M, M) complex, or None
+    vectors: np.ndarray | None = _LiftedBasis()  # (N, K*M) complex, lifted
+    sector_vectors: np.ndarray | None = None     # (K, M, M) complex, or None
 
     @property
     def size(self) -> int:
@@ -121,46 +169,45 @@ class FullSpectrum:
         return np.sort(self.eigenvalues)
 
 
+def _solve_half(pearl: PearlSpec, K: int, vectors: bool):
+    """Stacked eigensolve of Y_k for k = 0..K//2 (``eigh`` or ``eigvalsh``)."""
+    y = sector_matrix(pearl, 2.0 * np.pi * np.arange(K // 2 + 1) / K)
+    try:
+        return np.linalg.eigh(y) if vectors else np.linalg.eigvalsh(y)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
+
+
+def _mirror(half: np.ndarray, K: int) -> np.ndarray:
+    """Rows k = 0..K//2 extended to all K sectors by row K-k = conj(row k)."""
+    return np.concatenate([half, half[1:(K + 1) // 2][::-1].conj()])
+
+
 def full_spectrum(necklace: NecklaceSpec, threads: int | None = None) -> FullSpectrum:
-    """Compute and lift every sector of the necklace.
+    """Every labeled eigenpair of the necklace, in Bloch form.
 
-    Sectors are independent and may run on a thread pool; the output is
-    ordered by (k, n) regardless of scheduling.
+    One stacked solve covers sectors k = 0..K//2; sector K-k takes the
+    same eigenvalues and the conjugate vectors, so the k <-> K-k
+    degeneracy is exact.  The dense lifted basis is built only when
+    ``vectors`` is read.  ``threads`` is validated; the output does not
+    depend on it.
     """
+    resolve_thread_count(threads)
     K, M = necklace.K, necklace.pearl.m
-
-    def one_sector(k: int):
-        sector = sector_spectrum(necklace.pearl, k, K)
-        phases = np.exp(1j * sector.momentum * np.arange(1, K + 1))
-        # (K, M, M): pearl block j of branch n is phases[j] * vectors[:, n]
-        lifted = (phases[:, None, None] * sector.vectors[None, :, :])
-        lifted = lifted.reshape(K * M, M) / math.sqrt(K)
-        return sector.eigenvalues, lifted, sector.vectors
-
-    results = ordered_map(one_sector, range(K), threads=threads)
-    eigenvalues = np.concatenate([vals for vals, _, _ in results])
-    vectors = np.concatenate([cols for _, cols, _ in results], axis=1)
-    k_index = np.repeat(np.arange(K), M)
-    n_index = np.tile(np.arange(M), K)
+    values, vectors = _solve_half(necklace.pearl, K, vectors=True)
     return FullSpectrum(
         necklace=necklace,
-        eigenvalues=eigenvalues,
-        k_index=k_index,
-        n_index=n_index,
-        vectors=vectors,
-        sector_vectors=np.stack([y for _, _, y in results]),
+        eigenvalues=_mirror(values, K).ravel(),
+        k_index=np.repeat(np.arange(K), M),
+        n_index=np.tile(np.arange(M), K),
+        sector_vectors=_mirror(fix_phases(vectors), K),
     )
 
 
 def all_sector_eigenvalues(necklace: NecklaceSpec, threads: int | None = None) -> np.ndarray:
-    """Sector eigenvalue table (K, M) without lifting any eigenvectors."""
-    K = necklace.K
-    pearl = necklace.pearl
-
-    def one_sector(k: int) -> np.ndarray:
-        return np.linalg.eigvalsh(sector_matrix(pearl, momentum(k, K)))
-
-    return np.array(ordered_map(one_sector, range(K), threads=threads))
+    """Sector eigenvalue table (K, M) from one stacked ``eigvalsh``, no vectors."""
+    resolve_thread_count(threads)
+    return _mirror(_solve_half(necklace.pearl, necklace.K, vectors=False), necklace.K)
 
 
 def comb1_closed_form(k: int, K: int) -> list[tuple[float, np.ndarray]]:

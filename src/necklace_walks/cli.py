@@ -78,33 +78,57 @@ def _pearl_from_args(args) -> tuple:
     return load_pearl_file(args.pearl_file), args.pearl_file
 
 
+# Most values a --K or --d list may expand to; checked before expanding.
+MAX_LIST_VALUES = 100_000
+
+
+def _parse_int(text: str, context: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise _ConfigError(f"bad integer {text.strip()!r} in {context!r}") from exc
+
+
+def _range_count(lo: int, hi: int, log_spaced: bool) -> int:
+    """Values that 'lo..hi' expands to, at most; log-spaced ranges give 2 per octave."""
+    if log_spaced and lo >= 1:
+        return max(2, int(round(2 * math.log2(hi / lo))) + 1)
+    return hi - lo + 1
+
+
+def _expand_range(lo: int, hi: int, log_spaced: bool) -> list[int]:
+    if log_spaced and lo >= 1:
+        grid = np.round(np.logspace(math.log10(lo), math.log10(hi), _range_count(lo, hi, True)))
+        return [int(v) for v in np.unique(grid)]
+    return list(range(lo, hi + 1))
+
+
 def _parse_int_list(text: str, log_spaced: bool) -> list[int]:
-    """Parse '4,7,10' or 'a..b'; ranges expand log- or linearly spaced."""
-    values: list[int] = []
+    """Parse '4,7,10' or 'a..b'; ranges expand log- or linearly spaced.
+
+    Every part is parsed and the values counted from the range endpoints
+    before anything is expanded, so an oversized range fails at once.
+    """
+    bounds = []
     for part in text.split(","):
-        part = part.strip()
         if ".." in part:
             lo_s, hi_s = part.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = _parse_int(lo_s, text), _parse_int(hi_s, text)
             if hi < lo:
-                raise _ConfigError(f"empty range {part!r}")
-            if log_spaced and lo >= 1:
-                count = max(2, int(round(2 * math.log2(hi / lo))) + 1)
-                grid = np.unique(
-                    np.round(np.logspace(math.log10(lo), math.log10(hi), count))
-                )
-                values.extend(int(v) for v in grid)
-            else:
-                values.extend(range(lo, hi + 1))
+                raise _ConfigError(f"empty range {part.strip()!r}")
+            bounds.append((lo, hi, _range_count(lo, hi, log_spaced)))
         else:
-            values.append(int(part))
-    seen = set()
-    out = []
-    for v in values:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+            value = _parse_int(part, text)
+            bounds.append((value, value, 1))
+    count = sum(n for _, _, n in bounds)
+    if count > MAX_LIST_VALUES:
+        raise _ConfigError(
+            f"{text!r} expands to {count} values; at most {MAX_LIST_VALUES} are allowed"
+        )
+    values = []
+    for lo, hi, n in bounds:
+        values.extend([lo] if n == 1 else _expand_range(lo, hi, log_spaced))
+    return list(dict.fromkeys(values))
 
 
 def _parse_start(text: str, necklace: NecklaceSpec) -> tuple[int, int]:
@@ -157,7 +181,8 @@ def _add_common(parser: argparse.ArgumentParser, start: bool = False) -> None:
     parser.add_argument("--output", default=None, metavar="PATH",
                         help="output file (default: stdout)")
     parser.add_argument("--threads", type=int, default=None,
-                        help=f"worker threads (default: ${THREADS_ENV_VAR} or 1)")
+                        help=f"kept for compatibility, must be >= 1 (default: "
+                             f"${THREADS_ENV_VAR} or 1); the result does not depend on it")
     parser.add_argument("--tau-deg", type=float, default=None,
                         help="degeneracy tolerance (default: 1e-8 * max |lambda|)")
     if start:
@@ -203,13 +228,9 @@ def cmd_limiting(args) -> int:
     if args.closed_form:
         if pearl.comb_spacing != 1:
             raise _ConfigError("--closed-form is only available for --comb-d 1")
-        start_kind = pearl.vertex_kind(m_start)
-        closed = np.empty(necklace.n_vertices)
-        for j in range(1, necklace.K + 1):
-            for m in (1, 2):
-                closed[necklace.flat_index(j, m)] = comb_analytics.comb1_limiting(
-                    necklace.K, start_kind, pearl.vertex_kind(m), j, j_start
-                )
+        closed = comb_analytics.comb1_limiting_distribution(
+            necklace.K, pearl.vertex_kind(m_start), j_start
+        )
 
     header = "j,m,vertex_type,pi" + (",pi_analytic" if closed is not None else "")
     lines = [header]
@@ -321,12 +342,7 @@ def _oracle_checks(necklace: NecklaceSpec, threads: int | None) -> dict:
         )
         record("limiting_closed_form", np.abs(pi - closed).max(), 1e-9)
     elif necklace.pearl.comb_spacing == 1:
-        closed = np.empty(necklace.n_vertices)
-        for j in range(1, necklace.K + 1):
-            for m in (1, 2):
-                closed[necklace.flat_index(j, m)] = comb_analytics.comb1_limiting(
-                    necklace.K, "base", necklace.pearl.vertex_kind(m), j, 1
-                )
+        closed = comb_analytics.comb1_limiting_distribution(necklace.K, "base", 1)
         record("limiting_closed_form", np.abs(pi - closed).max(), 1e-9)
 
     return {
@@ -384,7 +400,9 @@ def build_parser() -> _Parser:
     p_gap.add_argument("--linear", action="store_true", help="expand K ranges linearly")
     p_gap.add_argument("--log", action="store_true", help="expand K ranges log-spaced (default)")
     p_gap.add_argument("--output", default=None, metavar="PATH")
-    p_gap.add_argument("--threads", type=int, default=None)
+    p_gap.add_argument("--threads", type=int, default=None,
+                       help=f"worker threads for the (d, K) cases (default: "
+                            f"${THREADS_ENV_VAR} or 1)")
     p_gap.set_defaults(func=cmd_gap_scan)
 
     p_orc = sub.add_parser("oracle-check", help="run all brute-force comparisons")

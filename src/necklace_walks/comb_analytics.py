@@ -85,11 +85,23 @@ class Comb1Coefficients:
         return self.pearl_count % 2 == 0
 
 
+def _sector_weights(K: int) -> np.ndarray:
+    """L_k = 1 / (2 (1 + cos^2 p_k)) for k = 0..K-1."""
+    p = 2.0 * math.pi * np.arange(K) / K
+    return 1.0 / (2.0 * (1.0 + np.cos(p) ** 2))
+
+
+def _parity_corrections(K: int) -> tuple[float, float]:
+    """1/K corrections of the same-kind and cross-kind probabilities."""
+    if K % 2 == 0:
+        return 3.0 / (2.0 * K), 1.0 / (2.0 * K)
+    return 3.0 / (4.0 * K), 1.0 / (4.0 * K)
+
+
 def comb1_coefficients(K: int, x: int, z: int) -> Comb1Coefficients:
     """Evaluate the d=1 comb distribution coefficients at pearls (x, z)."""
     _check_cycle_args(K, x, z)
-    p = 2.0 * math.pi * np.arange(K) / K
-    weights = 1.0 / (2.0 * (1.0 + np.cos(p) ** 2))
+    weights = _sector_weights(K)
     mean = float(weights.mean())
     phased = np.mean(weights * np.exp(1j * (2.0 * math.pi / K) * 2.0 * (x - z) * np.arange(K)))
     if abs(phased.imag) > 1e-12:
@@ -97,14 +109,18 @@ def comb1_coefficients(K: int, x: int, z: int) -> Comb1Coefficients:
             f"offset weight has imaginary part {phased.imag:.3e}; "
             "pearl indices are inconsistent"
         )
-    correction = 3.0 / (2.0 * K) if K % 2 == 0 else 3.0 / (4.0 * K)
     return Comb1Coefficients(
         weight_mean=mean,
         weight_at_offset=float(phased.real),
-        parity_correction=correction,
+        parity_correction=_parity_corrections(K)[0],
         peak=_peak_indicator(K, x, z),
         pearl_count=K,
     )
+
+
+def _check_kind(name: str, kind: VertexKind) -> None:
+    if kind not in ("base", "tooth"):
+        raise InvalidParameterError(f"{name} must be 'base' or 'tooth', got {kind!r}")
 
 
 def comb1_limiting(K: int, start: VertexKind, target: VertexKind, x: int, z: int) -> float:
@@ -127,15 +143,36 @@ def comb1_limiting(K: int, start: VertexKind, target: VertexKind, x: int, z: int
     probability is (1/K)(A + B - 1/(4K)) for odd K, (1/K)(A + B - 1/(2K))
     for even K.  The distribution sums to exactly 1 over all 2K vertices.
     """
-    for name, kind in (("start", start), ("target", target)):
-        if kind not in ("base", "tooth"):
-            raise InvalidParameterError(f"{name} must be 'base' or 'tooth', got {kind!r}")
+    _check_kind("start", start)
+    _check_kind("target", target)
     coeff = comb1_coefficients(K, x, z)
     a, b = coeff.weight_mean, coeff.weight_at_offset
     if start == target:
         return (1.0 - a - b - coeff.parity_correction + coeff.peak) / K
-    cross_correction = 1.0 / (2.0 * K) if K % 2 == 0 else 1.0 / (4.0 * K)
-    return (a + b - cross_correction) / K
+    return (a + b - _parity_corrections(K)[1]) / K
+
+
+def comb1_limiting_distribution(K: int, start: VertexKind, z: int) -> np.ndarray:
+    """The whole d=1 comb limiting distribution, all 2K vertices at once.
+
+    Entry ``2 (x - 1)`` is the base vertex of pearl x and entry
+    ``2 (x - 1) + 1`` its tooth, each equal to :func:`comb1_limiting` for
+    a start vertex of kind ``start`` on pearl z.  The offset weight at every
+    pearl offset r = x - z is the inverse DFT of L_k at frequency 2r, so
+    the vector costs one FFT rather than one O(K) sector sum per vertex.
+    """
+    _check_cycle_args(K, z, z)
+    _check_kind("start", start)
+    weights = _sector_weights(K)
+    a = float(weights.mean())
+    offset = (np.arange(1, K + 1) - z) % K
+    b = np.fft.ifft(weights).real[2 * offset % K]
+    peak = (offset == 0) | ((K % 2 == 0) & (offset == K // 2))
+    same_correction, cross_correction = _parity_corrections(K)
+    same = (1.0 - a - b - same_correction + peak) / K
+    cross = (a + b - cross_correction) / K
+    base, tooth = (same, cross) if start == "base" else (cross, same)
+    return np.stack([base, tooth], axis=1).ravel()
 
 
 @dataclass(frozen=True)
@@ -186,5 +223,6 @@ __all__ = [
     "comb1_coefficients",
     "comb1_high_k",
     "comb1_limiting",
+    "comb1_limiting_distribution",
     "cycle_limiting",
 ]

@@ -37,20 +37,24 @@ class EigenDecomposition:
 def fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Return a copy of ``vectors`` with each column's phase anchored.
 
-    The anchor is the lowest-index component whose magnitude is within a
-    small relative band of the column maximum; the column is rotated so
-    that component becomes real and positive.  An exact floating-point tie
-    never fires reliably, hence the band.
+    Columns run along the last axis and components along the one before
+    it; any leading axes stack such matrices, and all columns are fixed in
+    one pass.  The anchor is the lowest-index component whose magnitude is
+    within a small relative band of the column maximum; the column is
+    rotated so that component becomes real and positive, and an all-zero
+    column is left as it is.  An exact floating-point tie never fires
+    reliably, hence the band.
     """
     out = np.array(vectors, dtype=complex, copy=True)
-    for col in range(out.shape[1]):
-        v = out[:, col]
-        mags = np.abs(v)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        anchor = int(np.argmax(mags >= top * (1.0 - _PHASE_TIE_BAND)))
-        out[:, col] = v * (np.conj(v[anchor]) / mags[anchor])
+    if out.size == 0:
+        return out
+    mags = np.abs(out)
+    top = mags.max(axis=-2, keepdims=True)
+    anchor = np.argmax(mags >= top * (1.0 - _PHASE_TIE_BAND), axis=-2, keepdims=True)
+    pivot = np.take_along_axis(out, anchor, axis=-2)
+    zero = top == 0.0
+    scale = np.where(zero, 1.0, np.take_along_axis(mags, anchor, axis=-2))
+    out *= np.where(zero, 1.0, np.conj(pivot) / scale)
     return out
 
 

@@ -11,7 +11,6 @@ allowed to be slow.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .eig import EigenDecomposition, eigh
 from .errors import InvalidParameterError, NumericalFailureError
@@ -33,6 +32,9 @@ def brute_spectrum(hamiltonian: np.ndarray) -> EigenDecomposition:
 
 def _propagator(hamiltonian: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) via scaling and squaring, verified unitary."""
+    # Imported here: scipy.linalg costs about 0.3 s, and only oracle runs use it.
+    from scipy.linalg import expm
+
     h = np.asarray(hamiltonian, dtype=complex)
     if h.shape[0] > EVOLVE_MAX_DIM:
         raise InvalidParameterError(

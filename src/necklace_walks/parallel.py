@@ -9,6 +9,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+from .errors import InvalidParameterError
+
 THREADS_ENV_VAR = "NECKLACE_WALKS_THREADS"
 
 
@@ -16,7 +18,7 @@ def resolve_thread_count(threads: int | None = None) -> int:
     """Explicit argument wins, then the environment variable, then 1."""
     if threads is not None:
         if threads < 1:
-            raise ValueError(f"thread count must be >= 1, got {threads}")
+            raise InvalidParameterError(f"thread count must be >= 1, got {threads}")
         return threads
     env = os.environ.get(THREADS_ENV_VAR, "").strip()
     if env:

@@ -18,3 +18,17 @@ def rng():
 def random_hermitian(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (a + a.conj().T) / 2.0
+
+
+def draw_connected_pearl(data, max_m=6):
+    """A hypothesis-drawn connected pearl: a random tree, extra edges, roots."""
+    from hypothesis import strategies as st
+
+    m = data.draw(st.integers(1, max_m), label="m")
+    tree = [(data.draw(st.integers(1, v - 1)), v) for v in range(2, m + 1)]
+    others = [(a, b) for a in range(1, m + 1) for b in range(a + 1, m + 1)
+              if (a, b) not in tree]
+    extra = data.draw(st.lists(st.sampled_from(others), unique=True), label="extra") \
+        if others else []
+    roots = data.draw(st.tuples(st.integers(1, m), st.integers(1, m)), label="roots")
+    return make_custom_pearl(m, tree + extra, *roots)

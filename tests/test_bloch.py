@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from necklace_walks import (
     InvalidParameterError,
     NecklaceSpec,
+    all_sector_eigenvalues,
     assemble_hamiltonian,
     brute_spectrum,
     comb1_closed_form,
@@ -19,6 +22,9 @@ from necklace_walks import (
     sector_matrix,
     sector_spectrum,
 )
+from necklace_walks.eig import fix_phases
+
+from conftest import draw_connected_pearl
 
 
 class TestMomentum:
@@ -220,3 +226,96 @@ class TestSectorUnionProperty:
         spec = full_spectrum(neck)
         brute = brute_spectrum(assemble_hamiltonian(neck))
         assert np.abs(spec.sorted_eigenvalues() - brute.eigenvalues).max() < 1e-9
+
+
+def fix_phases_by_column(vectors, band=1e-6):
+    """Column-by-column phase fix, the reference for the stacked pass."""
+    out = np.array(vectors, dtype=complex, copy=True)
+    for col in range(out.shape[1]):
+        v = out[:, col]
+        mags = np.abs(v)
+        top = mags.max()
+        if top == 0.0:
+            continue
+        anchor = int(np.argmax(mags >= top * (1.0 - band)))
+        out[:, col] = v * (np.conj(v[anchor]) / mags[anchor])
+    return out
+
+
+def assert_matches_sector_spectra(pearl, K):
+    """Stacked half-spectrum solve against one sector_spectrum per sector.
+
+    Eigenvalues agree to 1e-12.  A simple sector eigenvalue has a unique
+    phase-fixed vector, compared to 1e-9; a degenerate cluster compares
+    its eigenspace projector.
+    """
+    spec = full_spectrum(NecklaceSpec(pearl, K))
+    table = spec.sector_table()
+    assert np.abs(all_sector_eigenvalues(NecklaceSpec(pearl, K)) - table).max() < 1e-12
+    for k in range(K):
+        ref = sector_spectrum(pearl, k, K)
+        assert np.abs(table[k] - ref.eigenvalues).max() < 1e-12
+        y, y_ref = spec.sector_vectors[k], ref.vectors
+        start = 0
+        for stop in range(1, pearl.m + 1):
+            if stop < pearl.m and ref.eigenvalues[stop] - ref.eigenvalues[stop - 1] < 1e-6:
+                continue
+            block, block_ref = y[:, start:stop], y_ref[:, start:stop]
+            if stop - start == 1:
+                assert np.abs(block - block_ref).max() < 1e-9
+            else:
+                projector = block @ block.conj().T
+                assert np.abs(projector - block_ref @ block_ref.conj().T).max() < 1e-9
+            start = stop
+
+
+class TestStackedSpectrum:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_connected_pearls_match_sector_spectra(self, data):
+        pearl = draw_connected_pearl(data)
+        assert_matches_sector_spectra(pearl, data.draw(st.integers(3, 40), label="K"))
+
+    @pytest.mark.parametrize("K", [3, 4, 7, 8, 41])
+    def test_conjugate_sectors_are_bitwise_equal(self, custom_pearl, K):
+        neck = NecklaceSpec(custom_pearl, K)
+        spec = full_spectrum(neck)
+        table, only_values = spec.sector_table(), all_sector_eigenvalues(neck)
+        for k in range(1, K):
+            assert np.array_equal(table[k], table[K - k])
+            assert np.array_equal(only_values[k], only_values[K - k])
+            if 2 * k != K:
+                assert np.array_equal(spec.sector_vectors[k], spec.sector_vectors[K - k].conj())
+
+    def test_stacked_phase_fix_equals_column_by_column(self, rng):
+        stack = rng.normal(size=(6, 5, 5)) + 1j * rng.normal(size=(6, 5, 5))
+        stack[1, :, 2] = 0.0                              # zero column stays zero
+        stack[2, 3, :] = stack[2, 0, :] * np.exp(0.7j)    # magnitude ties: lowest index
+        stack[3, :, 1] *= 1e-300
+        fixed = fix_phases(stack)
+        eps = np.finfo(float).eps
+        for s in range(len(stack)):
+            reference = fix_phases_by_column(stack[s])
+            assert np.abs(fixed[s] - reference).max() <= 4 * eps * np.abs(stack[s]).max()
+            for c in range(stack.shape[2]):
+                single = fix_phases(stack[s][:, c:c + 1])[:, 0]
+                assert np.abs(fixed[s][:, c] - single).max() <= 4 * eps * np.abs(stack[s]).max()
+        assert np.array_equal(fixed[1][:, 2], np.zeros(5))
+
+    def test_lazy_basis_is_the_plane_wave_lift(self, custom_pearl):
+        K = 6
+        spec = full_spectrum(NecklaceSpec(custom_pearl, K))
+        vectors = spec.vectors
+        assert spec.vectors is vectors                    # built once, then cached
+        for a in range(spec.size):
+            k, n = spec.k_index[a], spec.n_index[a]
+            lifted = lift_eigenvector(spec.sector_vectors[k][:, n], k, K)
+            assert np.array_equal(vectors[:, a], lifted)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_rejects_thread_count_below_one(self, threads):
+        neck = NecklaceSpec(make_comb_pearl(1), 8)
+        with pytest.raises(InvalidParameterError):
+            full_spectrum(neck, threads=threads)
+        with pytest.raises(InvalidParameterError):
+            all_sector_eigenvalues(neck, threads=threads)

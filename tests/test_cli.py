@@ -274,3 +274,85 @@ class TestExitCodes:
         rows, _ = csv_rows(out)
         lam = dict(((int(r[0]), int(r[1])), r[2]) for r in rows)[(0, 1)]
         assert lam == f"{1 + math.sqrt(2):.15g}"
+
+
+class TestDenseLiftOnDemand:
+    @pytest.fixture
+    def no_lift(self, monkeypatch):
+        from necklace_walks import bloch
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense lifted basis was built")
+
+        monkeypatch.setattr(bloch, "_lift", refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--comb-d", "2", "--K", "9"],
+        ["limiting", "--comb-d", "1", "--K", "12", "--start", "2,base", "--closed-form"],
+        ["limiting", "--pearl-file", "PEARL", "--K", "7", "--start", "3,2"],
+        ["mix", "--cycle", "--K", "10", "--start", "4", "--eps", "0.1", "--T-hi", "100"],
+        ["mix", "--comb-d", "2", "--K", "8", "--start", "1,tooth", "--eps", "0.1",
+         "--T-hi", "100"],
+    ])
+    def test_sector_form_commands_never_lift(self, no_lift, argv, tmp_path, capsys):
+        pearl = tmp_path / "pearl.json"
+        pearl.write_text(json.dumps({"m": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 2]],
+                                     "root_in": 0, "root_out": 3}))
+        argv = [str(pearl) if a == "PEARL" else a for a in argv]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0, err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--comb-d", "1", "--K", "4", "--vectors-out", "VECTORS"],
+        ["oracle-check", "--comb-d", "1", "--K", "4"],
+    ])
+    def test_dense_readers_do_lift(self, no_lift, argv, tmp_path, capsys):
+        argv = [str(tmp_path / "v.json") if a == "VECTORS" else a for a in argv]
+        with pytest.raises(AssertionError, match="lifted basis"):
+            main(argv)
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--comb-d", "1", "--K", "8"],
+        ["limiting", "--cycle", "--K", "8", "--start", "0"],
+        ["mix", "--cycle", "--K", "8", "--start", "0", "--eps", "0.1"],
+        ["gap-scan", "--d", "1", "--K", "8,16"],
+        ["oracle-check", "--cycle", "--K", "5"],
+    ])
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_thread_count_below_one_exits_one(self, argv, threads, capsys):
+        code, _, err = run_cli(argv + ["--threads", threads], capsys)
+        assert code == 1
+        assert "thread count must be >= 1" in err
+
+    @pytest.mark.parametrize("d_arg, k_arg, message", [
+        ("1", "1..2000000", "at most 100000"),
+        ("1", "8,1..99999,20", "at most 100000"),
+        ("1..100001", "8", "at most 100000"),
+        ("1", "eight", "bad integer 'eight'"),
+        ("1", "8..x", "bad integer 'x'"),
+        ("one", "8", "bad integer 'one'"),
+    ])
+    def test_gap_scan_lists_are_checked_before_expanding(
+            self, d_arg, k_arg, message, monkeypatch, capsys):
+        def expand(*args, **kwargs):
+            raise AssertionError("a refused --K or --d list was expanded")
+
+        monkeypatch.setattr(cli, "_expand_range", expand)
+        code, _, err = run_cli(["gap-scan", "--d", d_arg, "--K", k_arg, "--linear"], capsys)
+        assert code == 1
+        assert message in err
+
+    def test_range_at_the_cap_expands(self):
+        values = cli._parse_int_list(f"1..{cli.MAX_LIST_VALUES}", log_spaced=False)
+        assert values == list(range(1, cli.MAX_LIST_VALUES + 1))
+        assert cli._parse_int_list("16..64,16,100", log_spaced=True) == [
+            16, 23, 32, 45, 64, 100]
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    code = "import sys, necklace_walks.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -10,6 +10,7 @@ from necklace_walks import (
     comb1_coefficients,
     comb1_high_k,
     comb1_limiting,
+    comb1_limiting_distribution,
     cycle_limiting,
     full_spectrum,
     limiting_distribution,
@@ -158,3 +159,20 @@ class TestComb1HighK:
     def test_requires_large_k(self):
         with pytest.raises(InvalidParameterError):
             comb1_high_k(49)
+
+
+class TestComb1LimitingDistribution:
+    @pytest.mark.parametrize("K", [3, 4, 9, 10, 57, 64])
+    @pytest.mark.parametrize("start_kind", ["base", "tooth"])
+    def test_matches_pointwise_closed_form(self, K, start_kind):
+        for z in sorted({1, 2, K // 2 + 1, K}):
+            vector = comb1_limiting_distribution(K, start_kind, z)
+            assert np.abs(vector - comb1_closed_vector(K, start_kind, z)).max() < 1e-14
+
+    def test_validation(self):
+        with pytest.raises(InvalidParameterError):
+            comb1_limiting_distribution(8, "ring", 1)
+        with pytest.raises(InvalidParameterError):
+            comb1_limiting_distribution(8, "base", 9)
+        with pytest.raises(InvalidParameterError):
+            comb1_limiting_distribution(2, "base", 1)

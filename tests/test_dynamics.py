@@ -334,3 +334,27 @@ class TestSectorRoute:
         neck = NecklaceSpec(pearl, K)
         start = data.draw(st.tuples(st.integers(1, K), st.integers(1, m)), label="start")
         assert_routes_agree(full_spectrum(neck), vertex_state(neck, *start))
+
+
+class TestLiftedBasis:
+    def test_without_sector_vectors_keeps_the_lazy_basis(self, custom_pearl):
+        neck = NecklaceSpec(custom_pearl, 7)
+        lazy = full_spectrum(neck).vectors
+        dense = without_sector_vectors(full_spectrum(neck))
+        assert dense.sector_vectors is None
+        assert np.array_equal(dense.vectors, lazy)
+
+    def test_lifted_vectors_alone_are_kept(self):
+        spec = full_spectrum(NecklaceSpec(make_comb_pearl(1), 5))
+        vectors = spec.vectors.copy()
+        given_only = type(spec)(necklace=spec.necklace, eigenvalues=spec.eigenvalues,
+                                k_index=spec.k_index, n_index=spec.n_index,
+                                vectors=vectors)
+        assert given_only.vectors is vectors
+
+    def test_no_vectors_at_all_is_refused(self):
+        spec = full_spectrum(NecklaceSpec(make_comb_pearl(1), 5))
+        bare = type(spec)(necklace=spec.necklace, eigenvalues=spec.eigenvalues,
+                          k_index=spec.k_index, n_index=spec.n_index)
+        with pytest.raises(InvalidParameterError):
+            bare.vectors

@@ -182,6 +182,11 @@ class TestGapScan:
         with pytest.raises(InvalidParameterError):
             gap_scan([1], [2])
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_rejects_thread_count_below_one(self, threads):
+        with pytest.raises(InvalidParameterError):
+            gap_scan([1], [8], threads=threads)
+
 
 class TestSlopeFit:
     def test_exact_power_law(self):
