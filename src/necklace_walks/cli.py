@@ -80,6 +80,8 @@ def _pearl_from_args(args) -> tuple:
 
 # Most values a --K or --d list may expand to; checked before expanding.
 MAX_LIST_VALUES = 100_000
+# Log-spaced ranges are expanded in floating point, exact for integers up to here.
+MAX_LOG_RANGE_END = 2**53
 
 
 def _parse_int(text: str, context: str) -> int:
@@ -92,7 +94,7 @@ def _parse_int(text: str, context: str) -> int:
 def _range_count(lo: int, hi: int, log_spaced: bool) -> int:
     """Values that 'lo..hi' expands to, at most; log-spaced ranges give 2 per octave."""
     if log_spaced and lo >= 1:
-        return max(2, int(round(2 * math.log2(hi / lo))) + 1)
+        return max(2, int(round(2 * (math.log2(hi) - math.log2(lo)))) + 1)
     return hi - lo + 1
 
 
@@ -116,6 +118,8 @@ def _parse_int_list(text: str, log_spaced: bool) -> list[int]:
             lo, hi = _parse_int(lo_s, text), _parse_int(hi_s, text)
             if hi < lo:
                 raise _ConfigError(f"empty range {part.strip()!r}")
+            if log_spaced and hi > MAX_LOG_RANGE_END:
+                raise _ConfigError(f"log-spaced ranges end at most at {MAX_LOG_RANGE_END}")
             bounds.append((lo, hi, _range_count(lo, hi, log_spaced)))
         else:
             value = _parse_int(part, text)
@@ -194,12 +198,9 @@ def cmd_spectrum(args) -> int:
     pearl, _ = _pearl_from_args(args)
     necklace = NecklaceSpec(pearl, _single_k(args))
     spec = full_spectrum(necklace, threads=args.threads)
-    lines = ["k,n,lambda"]
-    for a in range(spec.size):
-        lines.append(
-            f"{spec.k_index[a]},{spec.n_index[a]},{_format(spec.eigenvalues[a])}"
-        )
-    _write_lines(lines, args.output)
+    rows = map("{},{},{:.15g}".format, spec.k_index.tolist(), spec.n_index.tolist(),
+               spec.eigenvalues.tolist())
+    _write_lines(["k,n,lambda", *rows], args.output)
     if args.vectors_out is not None:
         records = []
         for a in range(spec.size):
@@ -232,15 +233,15 @@ def cmd_limiting(args) -> int:
             necklace.K, pearl.vertex_kind(m_start), j_start
         )
 
-    header = "j,m,vertex_type,pi" + (",pi_analytic" if closed is not None else "")
-    lines = [header]
-    for j in range(1, necklace.K + 1):
-        for m in range(1, pearl.m + 1):
-            idx = necklace.flat_index(j, m)
-            row = f"{j - 1},{m - 1},{pearl.vertex_kind(m)},{_format(pi[idx])}"
-            if closed is not None:
-                row += f",{_format(closed[idx])}"
-            lines.append(row)
+    # One row per vertex, in array order: pearl j outer, in-pearl m inner.
+    K, M = necklace.K, pearl.m
+    columns = [np.repeat(np.arange(K), M).tolist(), list(range(M)) * K,
+               [pearl.vertex_kind(m) for m in range(1, M + 1)] * K, pi.tolist()]
+    header, row = "j,m,vertex_type,pi", "{},{},{},{:.15g}"
+    if closed is not None:
+        columns.append(closed.tolist())
+        header, row = header + ",pi_analytic", row + ",{:.15g}"
+    lines = [header, *map(row.format, *columns)]
     if closed is not None:
         lines.append(f"# max_abs_deviation = {_format(float(np.abs(pi - closed).max()))}")
     _write_lines(lines, args.output)
@@ -258,16 +259,14 @@ def cmd_mix(args) -> int:
     result = dynamics.mixing_time(
         spec, phi0, args.eps, args.T_hi, t_lo=args.T_lo, tau_deg=args.tau_deg
     )
+    grid = result.grid.tolist()
     # The bound scales exactly as 1/T.
-    bounds = [result.bound_at_unit / t for t in result.grid]
-    with_curve = args.cos_bound_c is not None
-    header = "T,tv_distance,tv_bound" + (",mixing_bound" if with_curve else "")
-    lines = [header]
-    for i, t in enumerate(result.grid):
-        row = f"{_format(t)},{_format(result.tv_values[i])},{_format(bounds[i])}"
-        if with_curve:
-            row += f",{_format(mixing.mixing_bound_curve(args.cos_bound_c, K, t))}"
-        lines.append(row)
+    columns = [grid, result.tv_values.tolist(), (result.bound_at_unit / result.grid).tolist()]
+    header, row = "T,tv_distance,tv_bound", "{:.15g},{:.15g},{:.15g}"
+    if args.cos_bound_c is not None:
+        columns.append([mixing.mixing_bound_curve(args.cos_bound_c, K, t) for t in grid])
+        header, row = header + ",mixing_bound", row + ",{:.15g}"
+    lines = [header, *map(row.format, *columns)]
     if result.found:
         lines.append(f"# T_mix(eps={_format(args.eps)}) = {_format(result.t_mix)}")
     else:
@@ -280,15 +279,11 @@ def cmd_mix(args) -> int:
 
 
 def cmd_gap_scan(args) -> int:
-    if args.linear and args.log:
-        raise _ConfigError("--linear and --log are mutually exclusive")
-    log_spaced = not args.linear  # log-spaced K ranges by default for scans
     d_list = _parse_int_list(args.d, log_spaced=False)
-    k_list = _parse_int_list(args.K, log_spaced=log_spaced)
+    k_list = _parse_int_list(args.K, log_spaced=not args.linear)
     records, slopes = mixing.gap_scan(d_list, k_list, threads=args.threads)
     lines = ["d,K,min_gap"]
-    for rec in records:
-        lines.append(f"{rec.d},{rec.K},{_format(rec.min_gap)}")
+    lines.extend("{},{},{:.15g}".format(r.d, r.K, r.min_gap) for r in records)
     for d in d_list:
         slope = slopes[d]
         rendered = _format(slope) if not math.isnan(slope) else "nan"
@@ -397,8 +392,8 @@ def build_parser() -> _Parser:
     p_gap = sub.add_parser("gap-scan", help="minimum nonzero gap over (d, K) combs")
     p_gap.add_argument("--d", required=True, help="tooth spacings, e.g. 1,2,3 (0 = cycle)")
     p_gap.add_argument("--K", required=True, help="pearl counts, e.g. 16,32 or 16..256")
-    p_gap.add_argument("--linear", action="store_true", help="expand K ranges linearly")
-    p_gap.add_argument("--log", action="store_true", help="expand K ranges log-spaced (default)")
+    p_gap.add_argument("--linear", action="store_true",
+                       help="expand K ranges linearly (default: log-spaced)")
     p_gap.add_argument("--output", default=None, metavar="PATH")
     p_gap.add_argument("--threads", type=int, default=None,
                        help=f"worker threads for the (d, K) cases (default: "

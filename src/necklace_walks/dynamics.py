@@ -41,6 +41,11 @@ from .graphs import NecklaceSpec
 NEGATIVE_CLAMP = 1e-12
 DISTRIBUTION_SUM_TOL = 1e-9
 STATE_NORM_TOL = 1e-12
+# Sector-pair averaging works through a T grid in chunks: the pair tables of
+# one chunk of q, with their build temporaries, take at most about
+# PAIR_CHUNK_BYTES, and the phases of one chunk of (q, T) PHASE_CHUNK_BYTES.
+PAIR_CHUNK_BYTES = 1 << 21
+PHASE_CHUNK_BYTES = 1 << 19
 
 
 def vertex_state(necklace: NecklaceSpec, j: int, m: int) -> np.ndarray:
@@ -71,9 +76,10 @@ class DegeneracyPartition:
 
     @property
     def group_id(self) -> np.ndarray:
-        gid = np.empty(sum(len(g) for g in self.groups), dtype=int)
-        for i, g in enumerate(self.groups):
-            gid[g] = i
+        sizes = [len(g) for g in self.groups]
+        gid = np.empty(sum(sizes), dtype=int)
+        if self.groups:
+            gid[np.concatenate(self.groups)] = np.repeat(np.arange(len(sizes)), sizes)
         return gid
 
 
@@ -88,16 +94,14 @@ def degeneracy_partition(eigenvalues: np.ndarray, tau_deg: float) -> DegeneracyP
     if tau_deg <= 0.0:
         raise InvalidParameterError(f"tau_deg must be positive, got {tau_deg}")
     order = np.argsort(eigenvalues, kind="stable")
-    lam_sorted = eigenvalues[order]
-    groups: list[np.ndarray] = []
-    start = 0
-    ambiguous = False
-    for i in range(1, len(lam_sorted) + 1):
-        if i == len(lam_sorted) or lam_sorted[i] - lam_sorted[i - 1] > tau_deg:
-            groups.append(np.sort(order[start:i]))
-            if i < len(lam_sorted) and lam_sorted[i] - lam_sorted[i - 1] <= 10.0 * tau_deg:
-                ambiguous = True
-            start = i
+    steps = np.diff(eigenvalues[order])
+    cuts = np.flatnonzero(steps > tau_deg) + 1
+    ambiguous = bool(np.any(steps[cuts - 1] <= 10.0 * tau_deg))
+    bounds = [0, *cuts.tolist(), len(order)] if len(order) else [0]
+    sizes = np.diff(bounds)
+    # Sorting by (group, index) puts each group's members in index order.
+    members = order[np.lexsort((order, np.repeat(np.arange(len(sizes)), sizes)))]
+    groups = [members[a:b] for a, b in zip(bounds, bounds[1:])]
     if ambiguous:
         warnings.warn(
             "a spectral gap lies within 10x of tau_deg; degenerate groups "
@@ -118,12 +122,16 @@ def _check_state(phi0: np.ndarray, n: int) -> np.ndarray:
 
 
 def _finalize_distribution(p: np.ndarray) -> np.ndarray:
-    """Clamp roundoff negatives and verify normalization."""
+    """Clamp roundoff negatives and verify normalization of each distribution.
+
+    ``p`` holds one distribution along its last axis, or a stack of them.
+    """
     low = p.min()
     if low < -NEGATIVE_CLAMP:
         raise NumericalFailureError(f"distribution entry {low} below -{NEGATIVE_CLAMP}")
     p = np.where(p < 0.0, 0.0, p)
-    total = p.sum()
+    totals = np.ravel(p.sum(axis=-1))
+    total = totals[np.argmax(np.abs(totals - 1.0))]
     if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
         raise NumericalFailureError(f"distribution sums to {total}, not 1 within {DISTRIBUTION_SUM_TOL}")
     return p
@@ -210,6 +218,12 @@ class _SectorAverager:
     loses about eps / |D T| relative accuracy, so pairs with |D| below
     ``delta`` take the exact kernel at every T, and every pair does when
     ``delta * T`` is small.
+
+    A whole grid of T is evaluated in one pass: the pair tables are built
+    for a chunk of q at a time, within ``PAIR_CHUNK_BYTES``, and each chunk
+    is contracted against u_a conj(u_b) for a chunk of T at a time, written
+    into one buffer of about ``PHASE_CHUNK_BYTES``.  Memory is
+    O(budget + len(grid) * N).
     """
 
     NEAR_GAP_REL = 1e-3
@@ -232,13 +246,17 @@ class _SectorAverager:
         self.overlaps = np.einsum("kmn,km->kn", y.conj(), phi_k) / math.sqrt(K)
         self.amps = (y * self.overlaps[:, None, :]).transpose(0, 2, 1)   # [k, n, m]
         self._same = self._same_group_sum()
-        self._phase_buffer = None
+        self._bound_sum = None
         self.limiting = _finalize_distribution(self._on_vertices(self._same))
 
     def _on_vertices(self, s: np.ndarray) -> np.ndarray:
-        """(1/K) sum_q exp(i p_q j) S_q[m] for pearls j = 1..K, flattened."""
+        """(1/K) sum_q exp(i p_q j) S_q[m] for pearls j = 1..K.
+
+        ``s`` is [q, ..., m]; the result is [..., K * M], flattened per pearl.
+        """
         p = np.fft.irfft(s, n=self.K, axis=0)    # row r is pearl j = r mod K
-        return np.roll(p, -1, axis=0).ravel()
+        p = np.moveaxis(np.roll(p, -1, axis=0), 0, -2)
+        return p.reshape(p.shape[:-2] + (-1,))
 
     def _same_group_sum(self) -> np.ndarray:
         """S_q over pairs inside one degenerate group, where G = 1.
@@ -266,78 +284,130 @@ class _SectorAverager:
                 s += np.fft.ifft(np.abs(np.fft.fft(z, axis=1)) ** 2, axis=1).sum(axis=0)
         return s[: self.half]
 
-    @functools.cached_property
-    def _pairs(self) -> dict:
-        """T-independent tables over pairs a = (k, n), b = (k - q, l), q <= K/2.
+    def _pair_tables(self, q0: int, q1: int) -> dict:
+        """T-independent tables over pairs a = (k, n), b = (k - q, l), q0 <= q < q1.
 
         Laid out [q, n, l, k] so that the long k axis is innermost, with
-        the vertex m ahead of it in the weighted products.  Built on first
-        use, so that the limit alone never pays for them.
+        the vertex m ahead of it in the weighted products.  ``near_q``
+        counts q from ``q0``.
         """
-        K, M, h = self.K, self.M, self.half
-        kb = (np.arange(K)[None, :] - np.arange(h)[:, None]) % K        # (q, k)
+        K, M = self.K, self.M
+        qs = np.arange(q0, q1)
+        kb = (np.arange(K)[None, :] - qs[:, None]) % K                  # (q, k)
         lam, gid, amps = self.lam.T, self.gid.T, self.amps.transpose(2, 1, 0)
         gaps = lam[None, :, None, :] - lam[:, kb].transpose(1, 0, 2)[:, None]
         cross = gid[None, :, None, :] != gid[:, kb].transpose(1, 0, 2)[:, None]
-        near = cross & (np.abs(gaps) < self.delta)
-        far = cross & ~near
-        amps_b = amps[:, :, kb].transpose(2, 0, 1, 3)                    # [q, m, l, k]
-        terms = amps[None, :, :, None, :] * amps_b.conj()[:, :, None]    # [q, m, n, l, k]
-        near_terms = np.moveaxis(terms, 1, -1)[near]
-        terms *= np.where(far, 1.0 / np.where(far, gaps, 1.0), 0.0)[:, None]
-        weighted = terms.reshape(h, M, -1)
         # Each ordered cross pair of the full sum once: a listed pair with
         # 2q != 0 mod K also stands for its reverse, at K - q.
         pop = np.abs(self.overlaps.T) ** 2
-        reverse = (2 * np.arange(h) % K != 0)[:, None, None, None]
+        reverse = (2 * qs % K != 0)[:, None, None, None]
         population = pop[None, :, None, :] + reverse * pop[:, kb].transpose(1, 0, 2)[:, None]
-        inv_abs = np.where(cross, 1.0 / np.where(cross, np.abs(gaps), 1.0), 0.0)
+        population *= np.where(cross, 1.0 / np.where(cross, np.abs(gaps), 1.0), 0.0)
+        bound_sum = float(population.sum())
+        near = cross & (np.abs(gaps) < self.delta)
+        far = cross & ~near
+        amps_b = amps.conj()[:, :, kb].transpose(2, 0, 1, 3)             # [q, m, l, k]
+        terms = np.multiply(amps[None, :, :, None, :], amps_b[:, :, None],
+                            order="C")                                   # [q, m, n, l, k]
+        near_terms = np.moveaxis(terms, 1, -1)[near]
+        terms *= np.where(far, 1.0 / np.where(far, gaps, 1.0), 0.0)[:, None]
+        weighted = terms.reshape(len(qs), M, -1)
         return {
-            "gaps": gaps.reshape(h, M * M * K),
+            "gaps": gaps.reshape(len(qs), M * M * K),
             "weighted": weighted,
             "total": weighted.sum(axis=2),
             "near_q": np.nonzero(near)[0],
             "near_gaps": gaps[near],
             "near_terms": near_terms,
-            "bound_sum": float((population * inv_abs).sum()),
+            "bound_sum": bound_sum,
         }
 
-    def _phases(self, T: float) -> np.ndarray:
-        """u_a conj(u_b) on the [q, n, l, k] layout, u = exp(-i lambda T).
+    @functools.cached_property
+    def _pairs(self) -> dict:
+        """The pair tables for every q = 0..K//2 at once."""
+        return self._pair_tables(0, self.half)
 
-        Written into one buffer kept for the averager's life: a fresh array
-        of this size per T costs more in page faults than the products.
+    def _cross_sums(self, times: np.ndarray) -> tuple[np.ndarray, float]:
+        """S_q[m](T) over cross-group pairs for ascending ``times``, and the bound's sum.
+
+        Returns the [q, T, m] sums and the gap sum of :meth:`bound`, both
+        from one pass over chunks of q.
         """
         K, M, h = self.K, self.M, self.half
-        if self._phase_buffer is None:
-            self._phase_buffer = np.empty((h, M, M, K), dtype=complex)
-        u = np.exp(-1j * T * self.lam.T)                                 # [n, k]
-        # window s of the doubled row starts at k = s; q needs s = K - q
-        doubled = np.concatenate([u.conj(), u.conj()], axis=1)
-        u_b = np.lib.stride_tricks.sliding_window_view(doubled, K, axis=1)[:, K:K - h:-1]
-        np.multiply(u[None, :, None, :], u_b.transpose(1, 0, 2)[:, None],
-                    out=self._phase_buffer)
-        return self._phase_buffer.reshape(h, -1, 1)
+        # conj(u) twice along k: window s of row l starts at k = s, and q needs s = K - q
+        doubled = np.empty((len(times), M, 2 * K), dtype=complex)
+        u = doubled[:, :, :K]
+        np.multiply(-1j * times[:, None, None], self.lam.T, out=u)
+        np.conjugate(np.exp(u, out=u), out=u)
+        doubled[:, :, K:] = u
+        # A chunk's tables and their build temporaries take about 16 M + 64 bytes a pair.
+        q_step = min(h, max(1, PAIR_CHUNK_BYTES // ((16 * M + 64) * M * M * K)))
+        s = np.empty((h, len(times), M), dtype=complex)
+        bound_sum = 0.0
+        for q0 in range(0, h, q_step):
+            q1 = min(q0 + q_step, h)
+            bound_sum += self._chunk_sums(q0, q1, times, doubled, s[q0:q1])
+        return s, bound_sum
+
+    def _chunk_sums(self, q0: int, q1: int, times: np.ndarray, doubled: np.ndarray,
+                    out: np.ndarray) -> float:
+        """Write S_q[m](T) for q0 <= q < q1 into ``out`` and return the chunk's bound sum.
+
+        Each chunk of T is one batched product [q, t, pair] @ [q, pair, m].
+        The chunk's tables go when this returns, before the next are built.
+        """
+        K, M = self.K, self.M
+        tables = self._pair_tables(q0, q1)
+        weighted = tables["weighted"].transpose(0, 2, 1)               # [q, pair, m]
+        gaps = tables["gaps"][:, None, :]
+        n_q, n_t, pairs = q1 - q0, len(times), gaps.shape[-1]
+        n_exact = int(np.searchsorted(self.delta * times, self.SMALL_DT))
+        t_step = max(1, PHASE_CHUNK_BYTES // (16 * n_q * pairs))
+        for t0 in range(0, n_exact, t_step):
+            t1 = min(t0 + t_step, n_exact)
+            kernel = gaps * _exact_kernel(gaps * times[None, t0:t1, None])
+            np.matmul(kernel, weighted, out=out[:, t0:t1])
+        window = np.lib.stride_tricks.sliding_window_view(doubled, K, axis=2)
+        u_b = window[:, :, K - q0:K - q1:-1].transpose(0, 2, 1, 3)[:, :, None]  # [t, q, 1, l, k]
+        u_a = np.empty((t_step, M, K), dtype=complex)
+        phases = np.empty((n_q, t_step, M, M, K), dtype=complex)
+        for t0 in range(n_exact, n_t, t_step):
+            t1 = min(t0 + t_step, n_t)
+            np.conjugate(doubled[t0:t1, :, :K], out=u_a[: t1 - t0])
+            np.multiply(u_a[None, : t1 - t0, :, None], u_b[t0:t1].swapaxes(0, 1),
+                        out=phases[:, : t1 - t0])
+            np.matmul(phases[:, : t1 - t0].reshape(n_q, t1 - t0, pairs), weighted,
+                      out=out[:, t0:t1])
+        factored = out[:, n_exact:]
+        factored[...] = (tables["total"][:, None] - factored) / (1j * times[None, n_exact:, None])
+        near_gaps, near_terms = tables["near_gaps"][:, None], tables["near_terms"][:, None, :]
+        n_step = max(1, PHASE_CHUNK_BYTES // (16 * M * max(len(near_gaps), 1)))
+        for t0 in range(0, n_t, n_step):
+            kernel = _exact_kernel(near_gaps * times[None, t0:t0 + n_step])
+            np.add.at(out[:, t0:t0 + n_step], tables["near_q"], near_terms * kernel[:, :, None])
+        return tables["bound_sum"]
+
+    def averaged_grid(self, grid: np.ndarray) -> np.ndarray:
+        """pbar(T) for every T of ``grid``, one distribution per row."""
+        grid = np.asarray(grid, dtype=float)
+        if np.any(grid <= 0.0):
+            raise InvalidParameterError(
+                f"averaging window must be positive, got {grid.min()}")
+        order = np.argsort(grid)
+        cross, self._bound_sum = self._cross_sums(grid[order])
+        cross += self._same[:, None, :]
+        p = self._on_vertices(cross)
+        return _finalize_distribution(p[np.argsort(order)])
 
     def averaged(self, T: float) -> np.ndarray:
-        if T <= 0.0:
-            raise InvalidParameterError(f"averaging window must be positive, got {T}")
-        pairs = self._pairs
-        if self.delta * T < self.SMALL_DT:
-            gaps = pairs["gaps"]
-            kernel = gaps * _exact_kernel(gaps * T)
-            cross = np.einsum("qp,qmp->qm", kernel, pairs["weighted"])
-        else:
-            phased = np.matmul(pairs["weighted"], self._phases(T))[..., 0]
-            cross = (pairs["total"] - phased) / (1j * T)
-        near = pairs["near_terms"] * _exact_kernel(pairs["near_gaps"] * T)[:, None]
-        np.add.at(cross, pairs["near_q"], near)
-        return _finalize_distribution(self._on_vertices(self._same + cross))
+        return self.averaged_grid(np.array([T]))[0]
 
     def bound(self, T: float) -> float:
         if T <= 0.0:
             raise InvalidParameterError(f"averaging window must be positive, got {T}")
-        return 2.0 * self._pairs["bound_sum"] / T
+        if self._bound_sum is None:
+            self._bound_sum = self._cross_sums(np.empty(0))[1]
+        return 2.0 * self._bound_sum / T
 
 
 def _averager(spec: FullSpectrum, phi0: np.ndarray, tau_deg: float | None):
@@ -450,9 +520,11 @@ def mixing_time(
         raise InvalidParameterError(f"epsilon must lie in (0, 2], got {epsilon}")
     averager = _averager(spec, phi0, tau_deg)
     grid = geometric_grid(t_lo, t_hi, ratio)
-    tvs = np.array(
-        [tv_distance(averager.averaged(T), averager.limiting) for T in grid]
-    )
+    if isinstance(averager, _SectorAverager):
+        averaged = averager.averaged_grid(grid)
+    else:
+        averaged = np.array([averager.averaged(T) for T in grid])
+    tvs = np.abs(averaged - averager.limiting).sum(axis=1)
     ok_from_here = np.minimum.accumulate((tvs <= epsilon)[::-1])[::-1]
     if not ok_from_here.any():
         t_mix = None

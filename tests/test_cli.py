@@ -7,7 +7,17 @@ import sys
 import numpy as np
 import pytest
 
-from necklace_walks import cli
+from necklace_walks import (
+    NecklaceSpec,
+    cli,
+    comb1_limiting_distribution,
+    full_spectrum,
+    limiting_distribution,
+    make_comb_pearl,
+    mixing_bound_curve,
+    mixing_time,
+    vertex_state,
+)
 from necklace_walks.cli import main
 
 
@@ -349,6 +359,66 @@ class TestInputValidation:
         assert values == list(range(1, cli.MAX_LIST_VALUES + 1))
         assert cli._parse_int_list("16..64,16,100", log_spaced=True) == [
             16, 23, 32, 45, 64, 100]
+
+
+class TestRangeEnds:
+    def test_huge_log_range_exits_one_before_expanding(self, monkeypatch, capsys):
+        def expand(*args, **kwargs):
+            raise AssertionError("a refused --K list was expanded")
+
+        monkeypatch.setattr(cli, "_expand_range", expand)
+        code, _, err = run_cli(["gap-scan", "--d", "1", "--K", "16..1" + "0" * 400], capsys)
+        assert code == 1
+        assert f"at most at {cli.MAX_LOG_RANGE_END}" in err
+
+    def test_log_count_of_huge_ends_is_finite(self):
+        assert cli._range_count(16, 10**400, True) == 2651
+
+    def test_log_flag_is_gone(self, capsys):
+        code, _, err = run_cli(["gap-scan", "--d", "1", "--K", "8,16", "--log"], capsys)
+        assert code == 1
+        assert "--log" in err
+
+
+class TestCsvRows:
+    """The column-wise CSV writers against the per-row formatting they replaced."""
+
+    def test_spectrum_rows(self, capsys):
+        code, out, _ = run_cli(["spectrum", "--comb-d", "2", "--K", "7"], capsys)
+        assert code == 0
+        spec = full_spectrum(NecklaceSpec(make_comb_pearl(2), 7))
+        expected = ["k,n,lambda"] + [
+            f"{spec.k_index[a]},{spec.n_index[a]},{spec.eigenvalues[a]:.15g}"
+            for a in range(spec.size)]
+        assert out.splitlines() == expected
+
+    def test_limiting_rows(self, capsys):
+        argv = ["limiting", "--comb-d", "1", "--K", "7", "--start", "2,tooth", "--closed-form"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        neck = NecklaceSpec(make_comb_pearl(1), 7)
+        pi = limiting_distribution(full_spectrum(neck), vertex_state(neck, 3, 2))
+        closed = comb1_limiting_distribution(7, "tooth", 3)
+        expected = ["j,m,vertex_type,pi,pi_analytic"]
+        for j in range(1, 8):
+            for m in range(1, 3):
+                idx = neck.flat_index(j, m)
+                expected.append(f"{j - 1},{m - 1},{neck.pearl.vertex_kind(m)},"
+                                f"{pi[idx]:.15g},{closed[idx]:.15g}")
+        assert out.splitlines()[:-1] == expected
+
+    def test_mix_rows(self, capsys):
+        argv = ["mix", "--comb-d", "1", "--K", "9", "--start", "4", "--eps", "0.2",
+                "--T-hi", "100", "--cos-bound-c", "0.3"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        neck = NecklaceSpec(make_comb_pearl(1), 9)
+        result = mixing_time(full_spectrum(neck), vertex_state(neck, 5, 1), 0.2, 100.0)
+        expected = ["T,tv_distance,tv_bound,mixing_bound"] + [
+            f"{t:.15g},{result.tv_values[i]:.15g},{result.bound_at_unit / t:.15g},"
+            f"{mixing_bound_curve(0.3, 9, t):.15g}"
+            for i, t in enumerate(result.grid)]
+        assert out.splitlines()[:-1] == expected
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():

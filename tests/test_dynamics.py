@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from necklace_walks import (
     cycle_limiting,
     default_degeneracy_tolerance,
     degeneracy_partition,
+    dynamics,
     evolve_matrix_exponential,
     full_spectrum,
     limiting_distribution,
@@ -358,3 +361,127 @@ class TestLiftedBasis:
                           k_index=spec.k_index, n_index=spec.n_index)
         with pytest.raises(InvalidParameterError):
             bare.vectors
+
+
+def partition_by_loop(eigenvalues, tau_deg):
+    """The sorted sweep that degeneracy_partition ran before it was vectorized."""
+    order = np.argsort(eigenvalues, kind="stable")
+    lam_sorted = eigenvalues[order]
+    groups, start, ambiguous = [], 0, False
+    for i in range(1, len(lam_sorted) + 1):
+        if i == len(lam_sorted) or lam_sorted[i] - lam_sorted[i - 1] > tau_deg:
+            groups.append(np.sort(order[start:i]))
+            if i < len(lam_sorted) and lam_sorted[i] - lam_sorted[i - 1] <= 10.0 * tau_deg:
+                ambiguous = True
+            start = i
+    return groups, ambiguous
+
+
+def group_id_by_loop(groups):
+    gid = np.empty(sum(len(g) for g in groups), dtype=int)
+    for i, g in enumerate(groups):
+        gid[g] = i
+    return gid
+
+
+class TestVectorizedPartition:
+    # Steps between sorted values, in units of tau = 2^-10: ties, steps
+    # inside a group, gaps of exactly tau and 10 tau, and genuine gaps.
+    # Every value is a small multiple of 2^-11, so each difference is exact.
+    STEPS = (0.0, 0.5, 1.0, 3.0, 10.0, 10.5, 40.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_sorted_sweep(self, data):
+        tau = 2.0 ** -10
+        steps = data.draw(st.lists(st.sampled_from(self.STEPS), max_size=40), label="steps")
+        start = data.draw(st.integers(-2000, 2000), label="start") * tau
+        values = start + tau * np.cumsum([0.0, *steps])
+        values = np.array(data.draw(st.permutations(values.tolist()), label="order"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            part = degeneracy_partition(values, tau)
+        groups, ambiguous = partition_by_loop(values, tau)
+        assert len(part.groups) == len(groups)
+        for got, want in zip(part.groups, groups):
+            assert np.array_equal(got, want)
+        assert part.ambiguous == ambiguous
+        warned = any(issubclass(w.category, AmbiguousDegeneracyWarning) for w in caught)
+        assert warned == ambiguous
+        assert np.array_equal(part.group_id, group_id_by_loop(groups))
+
+    def test_gap_of_exactly_tau_joins_and_ten_tau_is_ambiguous(self):
+        tau = 2.0 ** -10
+        with pytest.warns(AmbiguousDegeneracyWarning):
+            part = degeneracy_partition(np.array([0.0, tau, 11 * tau]), tau)
+        assert [g.tolist() for g in part.groups] == [[0, 1], [2]]
+        assert part.ambiguous
+
+
+def custom_four_vertex_pearl():
+    return make_custom_pearl(4, [(1, 2), (2, 3), (3, 4), (1, 3)], root_in=1, root_out=4)
+
+
+GRID_CASES = [
+    (make_cycle_pearl(), 40, (7, 1)),
+    (make_comb_pearl(1), 24, (3, 2)),
+    (make_comb_pearl(2), 16, (5, 3)),     # flat band: one group of K members
+    (custom_four_vertex_pearl(), 9, (2, 3)),
+]
+
+
+class TestGridRoute:
+    @pytest.mark.parametrize("pearl, K, start", GRID_CASES)
+    @pytest.mark.parametrize("pair_bytes, phase_bytes", [(1, 1), (1 << 17, 1 << 16)])
+    def test_chunk_budgets_leave_tv_unchanged(self, pearl, K, start, pair_bytes,
+                                              phase_bytes, monkeypatch):
+        # (1, 1) is one q and one T per chunk; the other pair gives ragged chunks.
+        neck = NecklaceSpec(pearl, K)
+        spec = full_spectrum(neck)
+        phi = vertex_state(neck, *start)
+        kwargs = dict(t_hi=1e5, t_lo=1e-5, ratio=1.3)
+        default = mixing_time(spec, phi, 0.1, **kwargs)
+        monkeypatch.setattr(dynamics, "PAIR_CHUNK_BYTES", pair_bytes)
+        monkeypatch.setattr(dynamics, "PHASE_CHUNK_BYTES", phase_bytes)
+        chunked = mixing_time(spec, phi, 0.1, **kwargs)
+        assert np.abs(chunked.tv_values - default.tv_values).max() < 1e-13
+        assert chunked.t_mix == default.t_mix
+        assert chunked.bound_at_unit == pytest.approx(default.bound_at_unit, rel=1e-13)
+
+    @pytest.mark.parametrize("pearl, K, start", GRID_CASES)
+    def test_grid_across_small_dt_matches_dense(self, pearl, K, start):
+        neck = NecklaceSpec(pearl, K)
+        spec = full_spectrum(neck)
+        phi = vertex_state(neck, *start)
+        kwargs = dict(t_hi=1e3, t_lo=1e-6, ratio=1.2)
+        sector = mixing_time(spec, phi, 0.1, **kwargs)
+        dense = mixing_time(without_sector_vectors(spec), phi, 0.1, **kwargs)
+        averager = _averager(spec, phi, None)
+        exact = averager.delta * sector.grid < averager.SMALL_DT
+        assert exact.any() and not exact.all()
+        assert np.abs(sector.tv_values - dense.tv_values).max() < 1e-12
+        assert sector.t_mix == dense.t_mix
+
+    def test_any_grid_order_gives_the_single_t_rows(self):
+        neck = NecklaceSpec(make_comb_pearl(1), 12)
+        averager = _averager(full_spectrum(neck), vertex_state(neck, 4, 1), None)
+        grid = np.array([37.0, 1e-3, 1e5, 0.37])
+        rows = averager.averaged_grid(grid)
+        for T, row in zip(grid, rows):
+            assert np.abs(row - averager.averaged(T)).max() < 1e-13
+        with pytest.raises(InvalidParameterError):
+            averager.averaged_grid(np.array([1.0, 0.0]))
+
+    def test_peak_memory_is_below_the_whole_pair_table(self):
+        neck = NecklaceSpec(make_comb_pearl(1), 400)
+        spec = full_spectrum(neck)
+        phi = vertex_state(neck, 5, 1)
+        M, N = neck.pearl.m, neck.n_vertices
+        tracemalloc.start()
+        try:
+            result = mixing_time(spec, phi, 0.1, t_hi=1e4, ratio=1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.grid) == 24
+        assert peak < (8 * M + 12) * N * N / 4
