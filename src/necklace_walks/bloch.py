@@ -17,6 +17,7 @@ plane-wave phases only when a dense basis is read.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -108,49 +109,36 @@ def lift_eigenvector(y: np.ndarray, k: int, K: int) -> np.ndarray:
     return _lift(y[None, :, None], np.array([k]), K)[:, 0]
 
 
-class _LiftedBasis:
-    """``FullSpectrum.vectors``: the dense (N, N) basis, lifted on first read.
-
-    A spectrum constructed with ``vectors=`` keeps them.  Otherwise the
-    first read lifts ``sector_vectors`` and caches the result, so that
-    callers working in sector form never pay for the O(N^2) array.  As a
-    dataclass field default the descriptor reads None, so ``vectors`` may
-    be omitted.
-    """
-
-    def __get__(self, spec, owner=None):
-        if spec is None:
-            return None
-        lifted = spec.__dict__.get("_lifted")
-        if lifted is None:
-            if spec.sector_vectors is None:
-                raise InvalidParameterError("spectrum holds neither lifted nor sector vectors")
-            K = spec.necklace.K
-            lifted = spec.__dict__["_lifted"] = _lift(spec.sector_vectors, np.arange(K), K)
-        return lifted
-
-    def __set__(self, spec, value):
-        spec.__dict__["_lifted"] = value
-
-
 @dataclass(frozen=True)
 class FullSpectrum:
-    """All K*M labeled eigenpairs of a necklace Hamiltonian.
+    """All K*M labeled eigenpairs of a necklace Hamiltonian, in Bloch form.
 
     Entry a = k * M + n holds branch n of sector k.  ``sector_vectors[k][:, n]``
     is its unit sector eigenvector, phase-fixed as in :mod:`necklace_walks.eig`.
     ``vectors[:, a]`` is the eigenvector lifted to the necklace; together the
-    columns form an orthonormal basis.  It is built from the sector vectors
-    on first read, unless the spectrum was constructed from lifted vectors
-    alone (``sector_vectors`` None).
+    columns form an orthonormal basis, built from the sector vectors on
+    first read and then cached.
     """
 
     necklace: NecklaceSpec
     eigenvalues: np.ndarray     # (K*M,), ordered by (k, n)
-    k_index: np.ndarray         # (K*M,) momentum index of each entry
-    n_index: np.ndarray         # (K*M,) branch index of each entry
-    vectors: np.ndarray | None = _LiftedBasis()  # (N, K*M) complex, lifted
-    sector_vectors: np.ndarray | None = None     # (K, M, M) complex, or None
+    sector_vectors: np.ndarray  # (K, M, M) complex
+
+    @property
+    def k_index(self) -> np.ndarray:
+        """Momentum index k of each entry, shape (K*M,)."""
+        return np.repeat(np.arange(self.necklace.K), self.necklace.pearl.m)
+
+    @property
+    def n_index(self) -> np.ndarray:
+        """Branch index n of each entry, shape (K*M,)."""
+        return np.tile(np.arange(self.necklace.pearl.m), self.necklace.K)
+
+    @functools.cached_property
+    def vectors(self) -> np.ndarray:
+        """The dense (N, K*M) lifted basis."""
+        K = self.necklace.K
+        return _lift(self.sector_vectors, np.arange(K), K)
 
     @property
     def size(self) -> int:
@@ -193,13 +181,11 @@ def full_spectrum(necklace: NecklaceSpec, threads: int | None = None) -> FullSpe
     depend on it.
     """
     resolve_thread_count(threads)
-    K, M = necklace.K, necklace.pearl.m
+    K = necklace.K
     values, vectors = _solve_half(necklace.pearl, K, vectors=True)
     return FullSpectrum(
         necklace=necklace,
         eigenvalues=_mirror(values, K).ravel(),
-        k_index=np.repeat(np.arange(K), M),
-        n_index=np.tile(np.arange(M), K),
         sector_vectors=_mirror(fix_phases(vectors), K),
     )
 

@@ -188,7 +188,9 @@ def _add_common(parser: argparse.ArgumentParser, start: bool = False) -> None:
                         help=f"kept for compatibility, must be >= 1 (default: "
                              f"${THREADS_ENV_VAR} or 1); the result does not depend on it")
     parser.add_argument("--tau-deg", type=float, default=None,
-                        help="degeneracy tolerance (default: 1e-8 * max |lambda|)")
+                        help="degeneracy tolerance, positive and finite (default: 1e-8 * "
+                             "max |lambda|; known too coarse for d=1 at K=16384 and for "
+                             "d>=3 from K=2048 (d=8), 2896 (d=5) and 4096 (d=3))")
     if start:
         parser.add_argument("--start", required=True,
                             help="start vertex: J | J,base | J,tooth | J,M (0-based)")
@@ -198,15 +200,15 @@ def cmd_spectrum(args) -> int:
     pearl, _ = _pearl_from_args(args)
     necklace = NecklaceSpec(pearl, _single_k(args))
     spec = full_spectrum(necklace, threads=args.threads)
-    rows = map("{},{},{:.15g}".format, spec.k_index.tolist(), spec.n_index.tolist(),
-               spec.eigenvalues.tolist())
+    k_index, n_index = spec.k_index.tolist(), spec.n_index.tolist()
+    rows = map("{},{},{:.15g}".format, k_index, n_index, spec.eigenvalues.tolist())
     _write_lines(["k,n,lambda", *rows], args.output)
     if args.vectors_out is not None:
         records = []
         for a in range(spec.size):
             records.append({
-                "k": int(spec.k_index[a]),
-                "n": int(spec.n_index[a]),
+                "k": k_index[a],
+                "n": n_index[a],
                 "lambda": float(spec.eigenvalues[a]),
                 "vector_re": [float(v) for v in spec.vectors[:, a].real],
                 "vector_im": [float(v) for v in spec.vectors[:, a].imag],

@@ -14,8 +14,8 @@ with kernel G(0, T) = 1 and G(D, T) = (1 - exp(-i D T)) / (i D T), and the
 T -> infinity limit keeps only pairs inside the same degenerate eigenspace.
 No quadrature is involved; the quadrature route lives in
 :mod:`necklace_walks.oracle` as an independent cross-check.  The pair sum
-runs in sector form when the spectrum carries its sector vectors, and
-densely over the lifted vectors otherwise.
+runs in sector form; the dense pair sum over a lifted basis is kept only
+as a reference to check it against.
 
 Total variation distance follows the un-halved convention
 ``sum_x |p_x - q_x|`` with range [0, 2].
@@ -58,9 +58,10 @@ def vertex_state(necklace: NecklaceSpec, j: int, m: int) -> np.ndarray:
 def default_degeneracy_tolerance(eigenvalues: np.ndarray) -> float:
     """Default tolerance 1e-8 * max|lambda|.
 
-    Exact degeneracies reproduce to solver precision (~1e-12 absolute)
-    while genuine gaps shrink like 1/K^2, which stays orders of magnitude
-    above this threshold at usable sizes.
+    Exact degeneracies reproduce to solver precision (~1e-12 absolute), but
+    genuine gaps shrink like 1/K^2: the d=1 comb's smallest gap is below this
+    at K=16384, and d>=3 gaps come within 10x of it (ambiguous) from K=2048
+    (d=8), 2896 (d=5) and 4096 (d=3).
     """
     scale = float(np.abs(eigenvalues).max()) if len(eigenvalues) else 0.0
     return 1e-8 * (scale if scale > 0.0 else 1.0)
@@ -91,8 +92,8 @@ def degeneracy_partition(eigenvalues: np.ndarray, tau_deg: float) -> DegeneracyP
     ambiguous: an :class:`AmbiguousDegeneracyWarning` is emitted and the
     partition is flagged.
     """
-    if tau_deg <= 0.0:
-        raise InvalidParameterError(f"tau_deg must be positive, got {tau_deg}")
+    if not (math.isfinite(tau_deg) and tau_deg > 0.0):
+        raise InvalidParameterError(f"tau_deg must be positive and finite, got {tau_deg}")
     order = np.argsort(eigenvalues, kind="stable")
     steps = np.diff(eigenvalues[order])
     cuts = np.flatnonzero(steps > tau_deg) + 1
@@ -148,25 +149,27 @@ def probability_at_time(spec: FullSpectrum, phi0: np.ndarray, t: float) -> np.nd
 
 
 class _PairAverager:
-    """Cached pair-sum machinery shared by the averaging operations.
+    """Dense reference for the pair sums, over any orthonormal eigenbasis.
 
-    Holds W[x, a] = psi_a[x] * <psi_a|phi_0>, the degeneracy partition, the
-    limiting distribution and the gap-sum entering the convergence bound,
-    so that sweeps over many T values reuse one setup.
+    ``vectors[:, a]`` is the eigenvector of ``eigenvalues[a]``.  Holds
+    W[x, a] = psi_a[x] * <psi_a|phi_0>, the degeneracy partition, the
+    limiting distribution and the gap-sum entering the convergence bound.
+    It needs O(N^2) memory and an N^3 product per T; the package's own
+    averaging runs in :class:`_SectorAverager`.
     """
 
-    def __init__(self, spec: FullSpectrum, phi0: np.ndarray, tau_deg: float | None):
-        self.spec = spec
-        phi = _check_state(phi0, spec.necklace.n_vertices)
+    def __init__(self, eigenvalues: np.ndarray, vectors: np.ndarray, phi0: np.ndarray,
+                 tau_deg: float | None):
+        phi = _check_state(phi0, len(vectors))
         if tau_deg is None:
-            tau_deg = default_degeneracy_tolerance(spec.eigenvalues)
-        self.partition = degeneracy_partition(spec.eigenvalues, tau_deg)
-        self.overlaps = spec.vectors.conj().T @ phi
-        self.weights = spec.vectors * self.overlaps[None, :]   # (N, A)
+            tau_deg = default_degeneracy_tolerance(eigenvalues)
+        self.partition = degeneracy_partition(eigenvalues, tau_deg)
+        self.overlaps = vectors.conj().T @ phi
+        self.weights = vectors * self.overlaps[None, :]   # (N, A)
         gid = self.partition.group_id
         self.same_group = gid[:, None] == gid[None, :]
-        self.gaps = spec.eigenvalues[:, None] - spec.eigenvalues[None, :]
-        pi = np.zeros(spec.necklace.n_vertices)
+        self.gaps = eigenvalues[:, None] - eigenvalues[None, :]
+        pi = np.zeros(len(vectors))
         for group in self.partition.groups:
             amp = self.weights[:, group].sum(axis=1)
             pi += np.abs(amp) ** 2
@@ -246,7 +249,6 @@ class _SectorAverager:
         self.overlaps = np.einsum("kmn,km->kn", y.conj(), phi_k) / math.sqrt(K)
         self.amps = (y * self.overlaps[:, None, :]).transpose(0, 2, 1)   # [k, n, m]
         self._same = self._same_group_sum()
-        self._bound_sum = None
         self.limiting = _finalize_distribution(self._on_vertices(self._same))
 
     def _on_vertices(self, s: np.ndarray) -> np.ndarray:
@@ -297,13 +299,6 @@ class _SectorAverager:
         lam, gid, amps = self.lam.T, self.gid.T, self.amps.transpose(2, 1, 0)
         gaps = lam[None, :, None, :] - lam[:, kb].transpose(1, 0, 2)[:, None]
         cross = gid[None, :, None, :] != gid[:, kb].transpose(1, 0, 2)[:, None]
-        # Each ordered cross pair of the full sum once: a listed pair with
-        # 2q != 0 mod K also stands for its reverse, at K - q.
-        pop = np.abs(self.overlaps.T) ** 2
-        reverse = (2 * qs % K != 0)[:, None, None, None]
-        population = pop[None, :, None, :] + reverse * pop[:, kb].transpose(1, 0, 2)[:, None]
-        population *= np.where(cross, 1.0 / np.where(cross, np.abs(gaps), 1.0), 0.0)
-        bound_sum = float(population.sum())
         near = cross & (np.abs(gaps) < self.delta)
         far = cross & ~near
         amps_b = amps.conj()[:, :, kb].transpose(2, 0, 1, 3)             # [q, m, l, k]
@@ -319,20 +314,10 @@ class _SectorAverager:
             "near_q": np.nonzero(near)[0],
             "near_gaps": gaps[near],
             "near_terms": near_terms,
-            "bound_sum": bound_sum,
         }
 
-    @functools.cached_property
-    def _pairs(self) -> dict:
-        """The pair tables for every q = 0..K//2 at once."""
-        return self._pair_tables(0, self.half)
-
-    def _cross_sums(self, times: np.ndarray) -> tuple[np.ndarray, float]:
-        """S_q[m](T) over cross-group pairs for ascending ``times``, and the bound's sum.
-
-        Returns the [q, T, m] sums and the gap sum of :meth:`bound`, both
-        from one pass over chunks of q.
-        """
+    def _cross_sums(self, times: np.ndarray) -> np.ndarray:
+        """S_q[m](T) over cross-group pairs for ascending ``times``, as [q, T, m]."""
         K, M, h = self.K, self.M, self.half
         # conj(u) twice along k: window s of row l starts at k = s, and q needs s = K - q
         doubled = np.empty((len(times), M, 2 * K), dtype=complex)
@@ -340,18 +325,16 @@ class _SectorAverager:
         np.multiply(-1j * times[:, None, None], self.lam.T, out=u)
         np.conjugate(np.exp(u, out=u), out=u)
         doubled[:, :, K:] = u
-        # A chunk's tables and their build temporaries take about 16 M + 64 bytes a pair.
+        # A chunk's tables and their build temporaries take at most about 16 M + 64 bytes a pair.
         q_step = min(h, max(1, PAIR_CHUNK_BYTES // ((16 * M + 64) * M * M * K)))
         s = np.empty((h, len(times), M), dtype=complex)
-        bound_sum = 0.0
         for q0 in range(0, h, q_step):
-            q1 = min(q0 + q_step, h)
-            bound_sum += self._chunk_sums(q0, q1, times, doubled, s[q0:q1])
-        return s, bound_sum
+            self._chunk_sums(q0, min(q0 + q_step, h), times, doubled, s[q0:q0 + q_step])
+        return s
 
     def _chunk_sums(self, q0: int, q1: int, times: np.ndarray, doubled: np.ndarray,
-                    out: np.ndarray) -> float:
-        """Write S_q[m](T) for q0 <= q < q1 into ``out`` and return the chunk's bound sum.
+                    out: np.ndarray) -> None:
+        """Write S_q[m](T) for q0 <= q < q1 into ``out``.
 
         Each chunk of T is one batched product [q, t, pair] @ [q, pair, m].
         The chunk's tables go when this returns, before the next are built.
@@ -385,7 +368,23 @@ class _SectorAverager:
         for t0 in range(0, n_t, n_step):
             kernel = _exact_kernel(near_gaps * times[None, t0:t0 + n_step])
             np.add.at(out[:, t0:t0 + n_step], tables["near_q"], near_terms * kernel[:, :, None])
-        return tables["bound_sum"]
+
+    @functools.cached_property
+    def _gap_sum(self) -> float:
+        """sum |c_a|^2 / |lambda_a - lambda_b| over ordered cross-group pairs (a, b).
+
+        Taken over rows a in chunks of about ``PAIR_CHUNK_BYTES``.
+        """
+        lam, gid = self.lam.ravel(), self.gid.ravel()
+        pop = np.abs(self.overlaps.ravel()) ** 2
+        step = max(1, PAIR_CHUNK_BYTES // (24 * len(lam)))
+        total = 0.0
+        for r0 in range(0, len(lam), step):
+            rows = slice(r0, r0 + step)
+            gaps = np.abs(lam[rows, None] - lam[None, :])
+            gaps[gid[rows, None] == gid[None, :]] = np.inf    # same group: 1/inf = 0
+            total += float(pop[rows] @ np.reciprocal(gaps, out=gaps).sum(axis=1))
+        return total
 
     def averaged_grid(self, grid: np.ndarray) -> np.ndarray:
         """pbar(T) for every T of ``grid``, one distribution per row."""
@@ -394,7 +393,7 @@ class _SectorAverager:
             raise InvalidParameterError(
                 f"averaging window must be positive, got {grid.min()}")
         order = np.argsort(grid)
-        cross, self._bound_sum = self._cross_sums(grid[order])
+        cross = self._cross_sums(grid[order])
         cross += self._same[:, None, :]
         p = self._on_vertices(cross)
         return _finalize_distribution(p[np.argsort(order)])
@@ -405,19 +404,7 @@ class _SectorAverager:
     def bound(self, T: float) -> float:
         if T <= 0.0:
             raise InvalidParameterError(f"averaging window must be positive, got {T}")
-        if self._bound_sum is None:
-            self._bound_sum = self._cross_sums(np.empty(0))[1]
-        return 2.0 * self._bound_sum / T
-
-
-def _averager(spec: FullSpectrum, phi0: np.ndarray, tau_deg: float | None):
-    """Sector-pair averager when the spectrum carries its sector vectors.
-
-    A spectrum built from lifted vectors alone takes the dense route.
-    """
-    if spec.sector_vectors is None:
-        return _PairAverager(spec, phi0, tau_deg)
-    return _SectorAverager(spec, phi0, tau_deg)
+        return 2.0 * self._gap_sum / T
 
 
 def time_averaged(
@@ -428,7 +415,7 @@ def time_averaged(
     Uses the exact kernel G(D, T); the D = 0 branch is taken for pairs in
     the same degenerate group of the partition at ``tau_deg``.
     """
-    return _averager(spec, phi0, tau_deg).averaged(T)
+    return _SectorAverager(spec, phi0, tau_deg).averaged(T)
 
 
 def limiting_distribution(
@@ -440,7 +427,7 @@ def limiting_distribution(
     degenerate eigenspaces, which makes the result independent of the
     basis chosen inside each degenerate group.
     """
-    return _averager(spec, phi0, tau_deg).limiting
+    return _SectorAverager(spec, phi0, tau_deg).limiting
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -461,7 +448,7 @@ def tv_convergence_bound(
     of eigenpairs lying in different degenerate groups.  Dominates the
     exact total variation distance at every T.
     """
-    return _averager(spec, phi0, tau_deg).bound(T)
+    return _SectorAverager(spec, phi0, tau_deg).bound(T)
 
 
 @dataclass(frozen=True)
@@ -471,15 +458,15 @@ class MixingResult:
     ``t_mix`` is the smallest grid time from which the total variation
     distance stays at or below ``epsilon`` on the rest of the grid, or
     None if that never happens up to ``grid[-1]``.  ``bound_at_unit`` is
-    :func:`tv_convergence_bound` at T = 1 from the same averager; the
-    bound at T is ``bound_at_unit / T``.
+    :func:`tv_convergence_bound` at T = 1 from the same averager, always
+    set; the bound at T is ``bound_at_unit / T``.
     """
 
     epsilon: float
     t_mix: float | None
     grid: np.ndarray
     tv_values: np.ndarray
-    bound_at_unit: float | None = None
+    bound_at_unit: float
 
     @property
     def tv_at_hi(self) -> float:
@@ -492,9 +479,9 @@ class MixingResult:
 
 def geometric_grid(t_lo: float, t_hi: float, ratio: float = 1.05) -> np.ndarray:
     """Times t_lo * ratio^i up to and including the first point >= t_hi."""
-    if t_lo <= 0.0 or t_hi < t_lo:
+    if not (math.isfinite(t_lo) and math.isfinite(t_hi)) or t_lo <= 0.0 or t_hi < t_lo:
         raise InvalidParameterError(f"bad grid limits ({t_lo}, {t_hi})")
-    if ratio <= 1.0:
+    if not ratio > 1.0:
         raise InvalidParameterError(f"grid ratio must exceed 1, got {ratio}")
     count = max(0, math.ceil(math.log(t_hi / t_lo) / math.log(ratio)))
     return t_lo * ratio ** np.arange(count + 1)
@@ -518,18 +505,11 @@ def mixing_time(
     """
     if not (0.0 < epsilon <= 2.0):
         raise InvalidParameterError(f"epsilon must lie in (0, 2], got {epsilon}")
-    averager = _averager(spec, phi0, tau_deg)
+    averager = _SectorAverager(spec, phi0, tau_deg)
     grid = geometric_grid(t_lo, t_hi, ratio)
-    if isinstance(averager, _SectorAverager):
-        averaged = averager.averaged_grid(grid)
-    else:
-        averaged = np.array([averager.averaged(T) for T in grid])
-    tvs = np.abs(averaged - averager.limiting).sum(axis=1)
+    tvs = np.abs(averager.averaged_grid(grid) - averager.limiting).sum(axis=1)
     ok_from_here = np.minimum.accumulate((tvs <= epsilon)[::-1])[::-1]
-    if not ok_from_here.any():
-        t_mix = None
-    else:
-        t_mix = float(grid[int(np.argmax(ok_from_here))])
+    t_mix = float(grid[np.argmax(ok_from_here)]) if ok_from_here.any() else None
     return MixingResult(epsilon=epsilon, t_mix=t_mix, grid=grid, tv_values=tvs,
                         bound_at_unit=averager.bound(1.0))
 

@@ -380,6 +380,33 @@ class TestRangeEnds:
         assert "--log" in err
 
 
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("argv", [
+        ["limiting", "--comb-d", "1", "--K", "8", "--start", "0", "--tau-deg", "nan"],
+        ["limiting", "--comb-d", "1", "--K", "8", "--start", "0", "--tau-deg", "inf"],
+        ["mix", "--comb-d", "1", "--K", "8", "--start", "0", "--eps", "0.1",
+         "--tau-deg", "nan"],
+    ])
+    def test_non_finite_tau_deg_exits_one(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: tau_deg must be positive and finite")
+
+    @pytest.mark.parametrize("limits", [
+        ["--T-hi", "inf"],
+        ["--T-hi", "1e400"],
+        ["--T-lo", "nan"],
+    ])
+    def test_non_finite_grid_limits_exit_one(self, limits, capsys):
+        code, out, err = run_cli(
+            ["mix", "--cycle", "--K", "8", "--start", "0", "--eps", "0.1", *limits], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: bad grid limits")
+
+
 class TestCsvRows:
     """The column-wise CSV writers against the per-row formatting they replaced."""
 

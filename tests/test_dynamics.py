@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -31,7 +30,7 @@ from necklace_walks import (
     tv_distance,
     vertex_state,
 )
-from necklace_walks.dynamics import _averager, _PairAverager, _SectorAverager
+from necklace_walks.dynamics import _PairAverager, _SectorAverager
 
 
 def cycle_setup(K):
@@ -49,6 +48,11 @@ class TestDegeneracyPartition:
         with pytest.warns(AmbiguousDegeneracyWarning):
             part = degeneracy_partition(np.array([0.0, 5e-8, 1.0]), 1e-8)
         assert part.ambiguous
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
+    def test_rejects_tolerance_that_is_not_positive_and_finite(self, tau):
+        with pytest.raises(InvalidParameterError):
+            degeneracy_partition(np.array([0.0, 1.0]), tau)
 
     def test_default_tolerance_scale(self):
         assert default_degeneracy_tolerance(np.array([-2.0, 1.0])) == pytest.approx(2e-8)
@@ -166,14 +170,8 @@ class TestLimitingDistribution:
             )
             q, _ = np.linalg.qr(raw)
             vectors[:, group] = vectors[:, group] @ q
-        scrambled = type(spec)(
-            necklace=spec.necklace,
-            eigenvalues=spec.eigenvalues,
-            k_index=spec.k_index,
-            n_index=spec.n_index,
-            vectors=vectors,
-        )
-        assert np.abs(limiting_distribution(scrambled, phi) - pi).max() < 1e-10
+        scrambled = _PairAverager(spec.eigenvalues, vectors, phi, None)
+        assert np.abs(scrambled.limiting - pi).max() < 1e-10
 
 
 class TestTvDistance:
@@ -248,21 +246,38 @@ class TestMixingTime:
         with pytest.raises(InvalidParameterError):
             mixing_time(spec, phi, 0.0, t_hi=10.0)
 
+    @pytest.mark.parametrize("t_lo, t_hi, ratio", [
+        (1.0, math.inf, 1.05),
+        (math.nan, 10.0, 1.05),
+        (1.0, math.nan, 1.05),
+        (1.0, 10.0, math.nan),
+    ])
+    def test_grid_rejects_non_finite_values(self, t_lo, t_hi, ratio):
+        with pytest.raises(InvalidParameterError):
+            dynamics.geometric_grid(t_lo, t_hi, ratio)
+
 
 EQUIVALENCE_TIMES = (1e-6, 1e-3, 0.37, 1.0, 37.0, 1e5, 1e8)
 
 
-def without_sector_vectors(spec):
-    """The same spectrum as a caller holding only lifted vectors sees it."""
-    return dataclasses.replace(spec, sector_vectors=None)
+def dense_averager(spec, phi):
+    """The dense reference pair sum over the lifted basis."""
+    return _PairAverager(spec.eigenvalues, spec.vectors, phi, None)
+
+
+def dense_mixing(spec, phi, result):
+    """TV at each T of ``result.grid``, t_mix by the same rule and bound(1), densely."""
+    dense = dense_averager(spec, phi)
+    tvs = np.array([np.abs(dense.averaged(T) - dense.limiting).sum() for T in result.grid])
+    ok_from_here = np.minimum.accumulate((tvs <= result.epsilon)[::-1])[::-1]
+    t_mix = float(result.grid[np.argmax(ok_from_here)]) if ok_from_here.any() else None
+    return tvs, t_mix, dense.bound(1.0)
 
 
 def assert_routes_agree(spec, phi):
     """Sector-pair and dense averagers agree on pi, pbar(T) and the bound."""
-    sector = _averager(spec, phi, None)
-    dense = _averager(without_sector_vectors(spec), phi, None)
-    assert isinstance(sector, _SectorAverager)
-    assert isinstance(dense, _PairAverager)
+    sector = _SectorAverager(spec, phi, None)
+    dense = dense_averager(spec, phi)
     assert np.abs(sector.limiting - dense.limiting).max() < 1e-12
     for T in EQUIVALENCE_TIMES:
         assert np.abs(sector.averaged(T) - dense.averaged(T)).max() < 1e-12
@@ -272,10 +287,10 @@ def assert_routes_agree(spec, phi):
 
 def assert_mixing_agrees(spec, phi, ratio=1.05):
     sector = mixing_time(spec, phi, 0.1, t_hi=1e5, ratio=ratio)
-    dense = mixing_time(without_sector_vectors(spec), phi, 0.1, t_hi=1e5, ratio=ratio)
-    assert np.abs(sector.tv_values - dense.tv_values).max() < 1e-12
-    assert sector.t_mix == dense.t_mix
-    assert sector.bound_at_unit == pytest.approx(dense.bound_at_unit, rel=1e-12)
+    tvs, t_mix, bound_at_unit = dense_mixing(spec, phi, sector)
+    assert np.abs(sector.tv_values - tvs).max() < 1e-12
+    assert sector.t_mix == t_mix
+    assert sector.bound_at_unit == pytest.approx(bound_at_unit, rel=1e-12)
 
 
 class TestSectorRoute:
@@ -304,7 +319,7 @@ class TestSectorRoute:
         spec = full_spectrum(neck)
         phi = vertex_state(neck, 6, 1)
         sector = assert_routes_agree(spec, phi)
-        assert len(sector._pairs["near_q"]) > 0
+        assert len(sector._pair_tables(0, sector.half)["near_q"]) > 0
         assert_mixing_agrees(spec, phi, ratio=1.3)
 
     def test_superposition_start(self, rng):
@@ -337,30 +352,6 @@ class TestSectorRoute:
         neck = NecklaceSpec(pearl, K)
         start = data.draw(st.tuples(st.integers(1, K), st.integers(1, m)), label="start")
         assert_routes_agree(full_spectrum(neck), vertex_state(neck, *start))
-
-
-class TestLiftedBasis:
-    def test_without_sector_vectors_keeps_the_lazy_basis(self, custom_pearl):
-        neck = NecklaceSpec(custom_pearl, 7)
-        lazy = full_spectrum(neck).vectors
-        dense = without_sector_vectors(full_spectrum(neck))
-        assert dense.sector_vectors is None
-        assert np.array_equal(dense.vectors, lazy)
-
-    def test_lifted_vectors_alone_are_kept(self):
-        spec = full_spectrum(NecklaceSpec(make_comb_pearl(1), 5))
-        vectors = spec.vectors.copy()
-        given_only = type(spec)(necklace=spec.necklace, eigenvalues=spec.eigenvalues,
-                                k_index=spec.k_index, n_index=spec.n_index,
-                                vectors=vectors)
-        assert given_only.vectors is vectors
-
-    def test_no_vectors_at_all_is_refused(self):
-        spec = full_spectrum(NecklaceSpec(make_comb_pearl(1), 5))
-        bare = type(spec)(necklace=spec.necklace, eigenvalues=spec.eigenvalues,
-                          k_index=spec.k_index, n_index=spec.n_index)
-        with pytest.raises(InvalidParameterError):
-            bare.vectors
 
 
 def partition_by_loop(eigenvalues, tau_deg):
@@ -430,6 +421,24 @@ GRID_CASES = [
 ]
 
 
+class TestBoundWithoutPairTables:
+    @pytest.mark.parametrize("pearl, K, start", GRID_CASES)
+    def test_bound_and_limit_build_no_pair_table(self, pearl, K, start, monkeypatch):
+        neck = NecklaceSpec(pearl, K)
+        spec = full_spectrum(neck)
+        phi = vertex_state(neck, *start)
+        dense = dense_averager(spec, phi)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pair tables were built")
+
+        monkeypatch.setattr(_SectorAverager, "_pair_tables", refuse)
+        for T in (1.0, 37.0):
+            bound = tv_convergence_bound(spec, phi, T)
+            assert bound == pytest.approx(dense.bound(T), rel=1e-12)
+        assert np.abs(limiting_distribution(spec, phi) - dense.limiting).max() < 1e-12
+
+
 class TestGridRoute:
     @pytest.mark.parametrize("pearl, K, start", GRID_CASES)
     @pytest.mark.parametrize("pair_bytes, phase_bytes", [(1, 1), (1 << 17, 1 << 16)])
@@ -455,16 +464,16 @@ class TestGridRoute:
         phi = vertex_state(neck, *start)
         kwargs = dict(t_hi=1e3, t_lo=1e-6, ratio=1.2)
         sector = mixing_time(spec, phi, 0.1, **kwargs)
-        dense = mixing_time(without_sector_vectors(spec), phi, 0.1, **kwargs)
-        averager = _averager(spec, phi, None)
+        tvs, t_mix, _ = dense_mixing(spec, phi, sector)
+        averager = _SectorAverager(spec, phi, None)
         exact = averager.delta * sector.grid < averager.SMALL_DT
         assert exact.any() and not exact.all()
-        assert np.abs(sector.tv_values - dense.tv_values).max() < 1e-12
-        assert sector.t_mix == dense.t_mix
+        assert np.abs(sector.tv_values - tvs).max() < 1e-12
+        assert sector.t_mix == t_mix
 
     def test_any_grid_order_gives_the_single_t_rows(self):
         neck = NecklaceSpec(make_comb_pearl(1), 12)
-        averager = _averager(full_spectrum(neck), vertex_state(neck, 4, 1), None)
+        averager = _SectorAverager(full_spectrum(neck), vertex_state(neck, 4, 1), None)
         grid = np.array([37.0, 1e-3, 1e5, 0.37])
         rows = averager.averaged_grid(grid)
         for T, row in zip(grid, rows):
