@@ -10,6 +10,7 @@ Numeric CSV fields carry 15 significant digits; footer lines starting with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -364,7 +365,9 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK if report["pass"] else EXIT_ORACLE
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="necklace-walk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -398,8 +401,8 @@ def build_parser() -> _Parser:
                        help="expand K ranges linearly (default: log-spaced)")
     p_gap.add_argument("--output", default=None, metavar="PATH")
     p_gap.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads for the (d, K) cases (default: "
-                            f"${THREADS_ENV_VAR} or 1)")
+                       help=f"kept for compatibility, must be >= 1 (default: "
+                            f"${THREADS_ENV_VAR} or 1); the result does not depend on it")
     p_gap.set_defaults(func=cmd_gap_scan)
 
     p_orc = sub.add_parser("oracle-check", help="run all brute-force comparisons")

@@ -128,20 +128,21 @@ def _finalize_distribution(p: np.ndarray) -> np.ndarray:
     ``p`` holds one distribution along its last axis, or a stack of them.
     """
     low = p.min()
-    if low < -NEGATIVE_CLAMP:
-        raise NumericalFailureError(f"distribution entry {low} below -{NEGATIVE_CLAMP}")
+    if not low >= -NEGATIVE_CLAMP:                   # also a NaN entry
+        raise NumericalFailureError(
+            f"distribution entry {low} is below -{NEGATIVE_CLAMP} or not a number")
     p = np.where(p < 0.0, 0.0, p)
     totals = np.ravel(p.sum(axis=-1))
     total = totals[np.argmax(np.abs(totals - 1.0))]
-    if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
+    if not abs(total - 1.0) <= DISTRIBUTION_SUM_TOL:
         raise NumericalFailureError(f"distribution sums to {total}, not 1 within {DISTRIBUTION_SUM_TOL}")
     return p
 
 
 def probability_at_time(spec: FullSpectrum, phi0: np.ndarray, t: float) -> np.ndarray:
     """Vertex distribution p_x(t) of the walk started in ``phi0``."""
-    if t < 0.0:
-        raise InvalidParameterError(f"time must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise InvalidParameterError(f"time must be finite and >= 0, got {t}")
     phi = _check_state(phi0, spec.necklace.n_vertices)
     overlaps = spec.vectors.conj().T @ phi
     amplitudes = spec.vectors @ (np.exp(-1j * spec.eigenvalues * t) * overlaps)
@@ -216,10 +217,13 @@ class _SectorAverager:
     one inverse FFT over q.  S_{K-q} = conj(S_q), so only q = 0..K//2 is
     formed.  Pairs inside one degenerate group have G = 1 and give the
     limit.  Any other pair has G = (1 - u_a conj(u_b)) / (i D T) with
-    u = exp(-i lambda T), so a T costs K*M exponentials and one contraction
-    of their products against the T-independent A conj(A) / D.  That form
-    loses about eps / |D T| relative accuracy, so pairs with |D| below
-    ``delta`` take the exact kernel at every T, and every pair does when
+    u = exp(-i lambda T), so a T costs (K//2 + 1) * M exponentials, as
+    lambda_{K-k} = lambda_k, and one contraction of their products against
+    the T-independent A conj(A) / D.  Each pair and its mirror under
+    k <-> K-k share q, so the contraction runs over one pair per couple, as
+    a real product (see :meth:`_pair_tables`).  The factored form loses
+    about eps / |D T| relative accuracy, so pairs with |D| below ``delta``
+    take the exact kernel at every T, and every pair does when
     ``delta * T`` is small.
 
     A whole grid of T is evaluated in one pass: the pair tables are built
@@ -240,6 +244,8 @@ class _SectorAverager:
         self.partition = degeneracy_partition(spec.eigenvalues, tau_deg)
         self.K, self.M, self.half = K, M, K // 2 + 1
         self.lam = spec.eigenvalues.reshape(K, M)
+        if not np.array_equal(self.lam[1:], self.lam[:0:-1]):
+            raise InvalidParameterError("sector K-k must repeat the eigenvalues of sector k")
         self.gid = self.partition.group_id.reshape(K, M)
         self.delta = self.NEAR_GAP_REL * max(float(np.abs(self.lam).max()), 1.0)
         # sum_j exp(-i p_k j) phi_0[j, m] over pearls j = 1..K
@@ -286,88 +292,138 @@ class _SectorAverager:
                 s += np.fft.ifft(np.abs(np.fft.fft(z, axis=1)) ** 2, axis=1).sum(axis=0)
         return s[: self.half]
 
-    def _pair_tables(self, q0: int, q1: int) -> dict:
-        """T-independent tables over pairs a = (k, n), b = (k - q, l), q0 <= q < q1.
+    def _pair_tables(self, q0: int, q1: int, step: int = 1) -> dict:
+        """T-independent tables over mirror couples, for q in range(q0, q1, step).
 
-        Laid out [q, n, l, k] so that the long k axis is innermost, with
-        the vertex m ahead of it in the weighted products.  ``near_q``
-        counts q from ``q0``.
+        Pair a = (k, n), b = (k - q, l), with w = A_a conj(A_b), is coupled
+        with a' = (q - k, l), b' = (-k, n), with w'.  As lambda_{K-k} =
+        lambda_k, the mirror has gap -D, the same groups and the conjugate
+        phase ph = u_a conj(u_b), so a couple enters S_q through
+        F(ph) = (w ph - w' conj(ph)) / D.  F is real-linear: its real and
+        imaginary parts are Re(ph conj(W0)) and Re(ph conj(W1)) with
+        W0 = (conj(w) - w') / D and W1 = i (conj(w) + w') / D, the
+        ``weights``, and F(1) is their ``total``.  One pair per couple is
+        kept: k = c + s, k - q = s - r for s = 0..K//2, c = ceil(q/2),
+        r = floor(q/2).  A column that is its own mirror holds both (n, l)
+        and (l, n) and is weighted 1/2; one whose mirror is also in the
+        window is weighted 0.
+
+        Pairs are laid out [n, l, s]; ``weights`` is [q, m, (W0, W1), pair].
+        Near pairs keep (w, w') for the exact kernel, whose couple term is
+        w G + w' conj(G).  ``near_q`` counts q from ``q0``.
         """
         K, M = self.K, self.M
-        qs = np.arange(q0, q1)
-        kb = (np.arange(K)[None, :] - qs[:, None]) % K                  # (q, k)
-        lam, gid, amps = self.lam.T, self.gid.T, self.amps.transpose(2, 1, 0)
-        gaps = lam[None, :, None, :] - lam[:, kb].transpose(1, 0, 2)[:, None]
-        cross = gid[None, :, None, :] != gid[:, kb].transpose(1, 0, 2)[:, None]
+        qs = np.arange(q0, q1, step)[:, None]
+        s = np.arange(self.half)
+        c, r = (qs + 1) // 2, qs // 2
+        mirror = (-s - qs % 2) % K                       # window column of the mirror
+        col = np.where(mirror == s, 0.5, np.where(mirror < s, 0.0, 1.0))[:, None, None]
+
+        def at(table, k):                                 # table [..., k] as [q, ..., s]
+            return np.moveaxis(np.take(table, k, axis=-1), -2, 0)
+
+        a, b = (c + s) % K, (s - r) % K                   # mirror: a' = (r - s), b' = (-c - s)
+        lam, gid = np.ascontiguousarray(self.lam.T), np.ascontiguousarray(self.gid.T)
+        amps = np.ascontiguousarray(self.amps.transpose(2, 1, 0))     # [m, n, k]
+        amps_conj = amps.conj()
+        gaps = np.subtract(at(lam, a)[:, :, None], at(lam, b)[:, None], order="C")  # [q, n, l, s]
+        cross = np.not_equal(at(gid, a)[:, :, None], at(gid, b)[:, None], order="C")
+        cross &= col > 0.0
         near = cross & (np.abs(gaps) < self.delta)
         far = cross & ~near
-        amps_b = amps.conj()[:, :, kb].transpose(2, 0, 1, 3)             # [q, m, l, k]
-        terms = np.multiply(amps[None, :, :, None, :], amps_b[:, :, None],
-                            order="C")                                   # [q, m, n, l, k]
-        near_terms = np.moveaxis(terms, 1, -1)[near]
-        terms *= np.where(far, 1.0 / np.where(far, gaps, 1.0), 0.0)[:, None]
-        weighted = terms.reshape(len(qs), M, -1)
+        weights = np.empty((len(qs), M, 2) + gaps.shape[1:], dtype=complex)
+        w0, w1 = weights[:, :, 0], weights[:, :, 1]                   # [q, m, n, l, s]
+        np.multiply(at(amps_conj, a)[:, :, :, None], at(amps, b)[:, :, None], out=w0)
+        np.multiply(at(amps, (r - s) % K)[:, :, None], at(amps_conj, (-c - s) % K)[:, :, :, None],
+                    out=w1)                                           # conj(w) and w'
+        near_terms = np.stack([np.moveaxis(w0, 1, -1)[near].conj(),
+                               np.moveaxis(w1, 1, -1)[near]], axis=1)
+        near_terms *= np.broadcast_to(col, near.shape)[near][:, None, None]
+        total = w0 + w1
+        w0 -= w1
+        scale = np.where(far, col / np.where(far, gaps, 1.0), 0.0)[:, None]
+        w0 *= scale
+        np.multiply(total.imag, -scale, out=w1.real)                  # w1 = i scale total
+        np.multiply(total.real, scale, out=w1.imag)
+        del total
+        weights = weights.reshape(len(qs), M, 2, -1)
         return {
-            "gaps": gaps.reshape(len(qs), M * M * K),
-            "weighted": weighted,
-            "total": weighted.sum(axis=2),
+            "gaps": gaps.reshape(len(qs), -1),
+            "weights": weights,
+            "total": weights.real.sum(axis=3) @ np.array([1.0, 1j]),   # F(1)
             "near_q": np.nonzero(near)[0],
             "near_gaps": gaps[near],
             "near_terms": near_terms,
         }
 
     def _cross_sums(self, times: np.ndarray) -> np.ndarray:
-        """S_q[m](T) over cross-group pairs for ascending ``times``, as [q, T, m]."""
+        """S_q[m](T) over cross-group pairs for ascending ``times``, as [q, T, m].
+
+        q runs in chunks of one parity, where the offsets c and r of
+        :meth:`_pair_tables` step by one, so u_a and conj(u_b) are strided
+        windows of ``ahead``, u at sectors 0, 1, .., and ``behind``, conj(u)
+        at sectors -r_max, .., K//2.
+        """
         K, M, h = self.K, self.M, self.half
-        # conj(u) twice along k: window s of row l starts at k = s, and q needs s = K - q
-        doubled = np.empty((len(times), M, 2 * K), dtype=complex)
-        u = doubled[:, :, :K]
-        np.multiply(-1j * times[:, None, None], self.lam.T, out=u)
-        np.conjugate(np.exp(u, out=u), out=u)
-        doubled[:, :, K:] = u
-        # A chunk's tables and their build temporaries take at most about 16 M + 64 bytes a pair.
-        q_step = min(h, max(1, PAIR_CHUNK_BYTES // ((16 * M + 64) * M * M * K)))
+        r_max = (h - 1) // 2
+        u = np.exp(-1j * times[:, None, None] * self.lam[:h].T)      # [t, m, k], k <= K//2
+        sectors = np.arange(h // 2 + h)
+        ahead = u[:, :, np.minimum(sectors, K - sectors)]             # lambda_{K-k} = lambda_k
+        del u
+        behind = ahead[:, :, np.abs(np.arange(-r_max, h))]
+        np.conjugate(behind, out=behind)
+        # A chunk's tables and their build temporaries take at most about 48 M + 112 bytes a pair.
+        q_step = max(1, PAIR_CHUNK_BYTES // ((48 * M + 112) * M * M * h))
         s = np.empty((h, len(times), M), dtype=complex)
-        for q0 in range(0, h, q_step):
-            self._chunk_sums(q0, min(q0 + q_step, h), times, doubled, s[q0:q0 + q_step])
+        for parity in (0, 1):
+            for q0 in range(parity, h, 2 * q_step):
+                q1 = min(q0 + 2 * q_step, h)
+                self._chunk_sums(q0, q1, times, ahead, behind, s[q0:q1:2])
         return s
 
-    def _chunk_sums(self, q0: int, q1: int, times: np.ndarray, doubled: np.ndarray,
-                    out: np.ndarray) -> None:
-        """Write S_q[m](T) for q0 <= q < q1 into ``out``.
+    def _chunk_sums(self, q0: int, q1: int, times: np.ndarray, ahead: np.ndarray,
+                    behind: np.ndarray, out: np.ndarray) -> None:
+        """Write S_q[m](T) for q in range(q0, q1, 2) into ``out``.
 
-        Each chunk of T is one batched product [q, t, pair] @ [q, pair, m].
+        Each chunk of T is one real batched product of the phases, viewed as
+        (Re, Im) pairs, against the weights: [q, t, 2 pair] @ [q, 2 pair, 2 m].
         The chunk's tables go when this returns, before the next are built.
         """
-        K, M = self.K, self.M
-        tables = self._pair_tables(q0, q1)
-        weighted = tables["weighted"].transpose(0, 2, 1)               # [q, pair, m]
+        M, S = self.M, self.half
+        tables = self._pair_tables(q0, q1, 2)
+        n_q, n_t, pairs = out.shape[0], len(times), tables["gaps"].shape[1]
+        weights = tables["weights"].view(float).reshape(n_q, 2 * M, 2 * pairs).transpose(0, 2, 1)
+
+        def real_linear(z, t0, t1):                       # F(z) into out[:, t0:t1]
+            np.matmul(z.reshape(n_q, t1 - t0, pairs).view(float), weights,
+                      out=out[:, t0:t1].view(float))
+
         gaps = tables["gaps"][:, None, :]
-        n_q, n_t, pairs = q1 - q0, len(times), gaps.shape[-1]
         n_exact = int(np.searchsorted(self.delta * times, self.SMALL_DT))
         t_step = max(1, PHASE_CHUNK_BYTES // (16 * n_q * pairs))
-        for t0 in range(0, n_exact, t_step):
+        for t0 in range(0, n_exact, t_step):             # F(i D G) = i (w G + w' conj(G))
             t1 = min(t0 + t_step, n_exact)
-            kernel = gaps * _exact_kernel(gaps * times[None, t0:t1, None])
-            np.matmul(kernel, weighted, out=out[:, t0:t1])
-        window = np.lib.stride_tricks.sliding_window_view(doubled, K, axis=2)
-        u_b = window[:, :, K - q0:K - q1:-1].transpose(0, 2, 1, 3)[:, :, None]  # [t, q, 1, l, k]
-        u_a = np.empty((t_step, M, K), dtype=complex)
-        phases = np.empty((n_q, t_step, M, M, K), dtype=complex)
+            real_linear(1j * gaps * _exact_kernel(gaps * times[None, t0:t1, None]), t0, t1)
+        out[:, :n_exact] *= -1j
+        c0, start_b = (q0 + 1) // 2, (self.half - 1) // 2 - q0 // 2
+        window = np.lib.stride_tricks.sliding_window_view
+        u_a = window(ahead, S, axis=2)[:, :, c0:c0 + n_q]
+        u_b = window(behind, S, axis=2)[:, :, start_b - n_q + 1:start_b + 1][:, :, ::-1]
+        u_a = u_a.transpose(2, 0, 1, 3)[:, :, :, None]    # [q, t, n, 1, s]
+        u_b = u_b.transpose(2, 0, 1, 3)[:, :, None]       # [q, t, 1, l, s]
+        phases = np.empty((n_q, t_step, M, M, S), dtype=complex)
         for t0 in range(n_exact, n_t, t_step):
             t1 = min(t0 + t_step, n_t)
-            np.conjugate(doubled[t0:t1, :, :K], out=u_a[: t1 - t0])
-            np.multiply(u_a[None, : t1 - t0, :, None], u_b[t0:t1].swapaxes(0, 1),
-                        out=phases[:, : t1 - t0])
-            np.matmul(phases[:, : t1 - t0].reshape(n_q, t1 - t0, pairs), weighted,
-                      out=out[:, t0:t1])
+            np.multiply(u_a[:, t0:t1], u_b[:, t0:t1], out=phases[:, : t1 - t0])
+            real_linear(phases[:, : t1 - t0], t0, t1)
         factored = out[:, n_exact:]
         factored[...] = (tables["total"][:, None] - factored) / (1j * times[None, n_exact:, None])
-        near_gaps, near_terms = tables["near_gaps"][:, None], tables["near_terms"][:, None, :]
-        n_step = max(1, PHASE_CHUNK_BYTES // (16 * M * max(len(near_gaps), 1)))
+        near_gaps, near_terms = tables["near_gaps"][:, None], tables["near_terms"]
+        n_step = max(1, PHASE_CHUNK_BYTES // (32 * M * max(len(near_gaps), 1)))
         for t0 in range(0, n_t, n_step):
             kernel = _exact_kernel(near_gaps * times[None, t0:t0 + n_step])
-            np.add.at(out[:, t0:t0 + n_step], tables["near_q"], near_terms * kernel[:, :, None])
+            terms = np.stack([kernel, kernel.conj()], axis=-1) @ near_terms
+            np.add.at(out[:, t0:t0 + n_step], tables["near_q"], terms)
 
     @functools.cached_property
     def _gap_sum(self) -> float:
@@ -389,9 +445,10 @@ class _SectorAverager:
     def averaged_grid(self, grid: np.ndarray) -> np.ndarray:
         """pbar(T) for every T of ``grid``, one distribution per row."""
         grid = np.asarray(grid, dtype=float)
-        if np.any(grid <= 0.0):
+        bad = ~(np.isfinite(grid) & (grid > 0.0))
+        if bad.any():
             raise InvalidParameterError(
-                f"averaging window must be positive, got {grid.min()}")
+                f"averaging window must be positive and finite, got {grid[bad][0]}")
         order = np.argsort(grid)
         cross = self._cross_sums(grid[order])
         cross += self._same[:, None, :]
@@ -402,8 +459,8 @@ class _SectorAverager:
         return self.averaged_grid(np.array([T]))[0]
 
     def bound(self, T: float) -> float:
-        if T <= 0.0:
-            raise InvalidParameterError(f"averaging window must be positive, got {T}")
+        if not (math.isfinite(T) and T > 0.0):
+            raise InvalidParameterError(f"averaging window must be positive and finite, got {T}")
         return 2.0 * self._gap_sum / T
 
 

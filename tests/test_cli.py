@@ -407,6 +407,32 @@ class TestNonFiniteValues:
         assert err.startswith("error: bad grid limits")
 
 
+class TestParserReuse:
+    COMMANDS = [
+        ["spectrum", "--comb-d", "1", "--K", "8"],
+        ["limiting", "--comb-d", "1", "--K", "8", "--start", "2,base", "--closed-form"],
+        ["gap-scan", "--d", "1,2", "--K", "8..32"],
+    ]
+
+    def test_one_parser_serves_every_command(self, tmp_path, capsys):
+        def run(name, argv):
+            path = tmp_path / name
+            assert main(argv + ["--output", str(path)]) == 0
+            return path.read_bytes()
+
+        fresh = []
+        for i, argv in enumerate(self.COMMANDS):
+            cli.build_parser.cache_clear()
+            fresh.append(run(f"fresh{i}", argv))
+        cli.build_parser.cache_clear()
+        assert main(["mix", "--comb-d", "1", "--K", "8", "--start", "2,base",
+                     "--eps", "x"]) == 1
+        reused = [run(f"reused{i}", argv) for i, argv in enumerate(self.COMMANDS)]
+        assert cli.build_parser.cache_info().misses == 1
+        assert reused == fresh
+        capsys.readouterr()
+
+
 class TestCsvRows:
     """The column-wise CSV writers against the per-row formatting they replaced."""
 

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from necklace_walks import (
     AmbiguousDegeneracyWarning,
+    FullSpectrum,
     InvalidParameterError,
     NecklaceSpec,
+    NumericalFailureError,
     assemble_hamiltonian,
     cycle_limiting,
     default_degeneracy_tolerance,
@@ -494,3 +496,92 @@ class TestGridRoute:
             tracemalloc.stop()
         assert len(result.grid) == 24
         assert peak < (8 * M + 12) * N * N / 4
+
+
+FOLD_PEARLS = [make_cycle_pearl(), make_comb_pearl(1), make_comb_pearl(2),
+               custom_four_vertex_pearl()]
+
+
+def fold_start(neck, spec, start):
+    if start == "vertex":
+        return vertex_state(neck, 2, neck.pearl.m)
+    if start == "superposition":
+        rng = np.random.default_rng(neck.K)
+        phi = rng.normal(size=neck.n_vertices) + 1j * rng.normal(size=neck.n_vertices)
+        return phi / np.linalg.norm(phi)
+    return spec.vectors[:, neck.pearl.m]          # branch 0 of sector k = 1
+
+
+class TestMirrorFold:
+    # K = 3..8 covers both parities of q, columns that are their own mirror
+    # (q even; and q odd for odd K) and the column whose mirror is also in
+    # the window (q odd, K even).
+    @pytest.mark.parametrize("start", ["vertex", "superposition", "eigenvector"])
+    @pytest.mark.parametrize("pearl", FOLD_PEARLS, ids=["cycle", "d1", "d2", "custom"])
+    @pytest.mark.parametrize("K", range(3, 9))
+    def test_small_rings_match_the_dense_sum(self, K, pearl, start):
+        neck = NecklaceSpec(pearl, K)
+        spec = full_spectrum(neck)
+        phi = fold_start(neck, spec, start)
+        assert_routes_agree(spec, phi)
+        assert_mixing_agrees(spec, phi)
+
+    @pytest.mark.parametrize("pair_bytes", [dynamics.PAIR_CHUNK_BYTES, 1])
+    @pytest.mark.parametrize("pearl, K", [
+        (make_cycle_pearl(), 40),
+        (make_comb_pearl(1), 9),
+        (make_comb_pearl(2), 16),
+        (custom_four_vertex_pearl(), 7),
+    ])
+    def test_tables_hold_one_pair_per_couple(self, pearl, K, pair_bytes, monkeypatch):
+        neck = NecklaceSpec(pearl, K)
+        averager = _SectorAverager(full_spectrum(neck), vertex_state(neck, 1, 1), None)
+        build = _SectorAverager._pair_tables
+        entries = []
+
+        def counting(self, *args):
+            tables = build(self, *args)
+            entries.append((tables["gaps"].size, tables["weights"].size))
+            return tables
+
+        monkeypatch.setattr(_SectorAverager, "_pair_tables", counting)
+        monkeypatch.setattr(dynamics, "PAIR_CHUNK_BYTES", pair_bytes)
+        averager.averaged_grid(np.array([1e-6, 0.5, 40.0]))
+        M, half = pearl.m, K // 2 + 1
+        assert entries
+        assert sum(g for g, _ in entries) <= half * half * M * M
+        assert sum(w for _, w in entries) <= 2 * M * half * half * M * M
+
+    def test_spectrum_without_the_mirror_is_refused(self):
+        neck = NecklaceSpec(make_comb_pearl(1), 8)
+        spec = full_spectrum(neck)
+        values = spec.eigenvalues.copy()
+        values[2 * 3] = np.nextafter(values[2 * 3], np.inf)        # sector 3, not sector 5
+        broken = FullSpectrum(spec.necklace, values, spec.sector_vectors)
+        with pytest.raises(InvalidParameterError):
+            limiting_distribution(broken, vertex_state(neck, 1, 1))
+
+
+class TestNonFiniteTimes:
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+    def test_every_entry_point_refuses(self, T):
+        neck = NecklaceSpec(make_comb_pearl(1), 8)
+        spec = full_spectrum(neck)
+        phi = vertex_state(neck, 1, 1)
+        with pytest.raises(InvalidParameterError):
+            time_averaged(spec, phi, T)
+        with pytest.raises(InvalidParameterError):
+            _SectorAverager(spec, phi, None).averaged_grid(np.array([1.0, T, 3.0]))
+        with pytest.raises(InvalidParameterError):
+            tv_convergence_bound(spec, phi, T)
+        with pytest.raises(InvalidParameterError):
+            probability_at_time(spec, phi, T)
+
+    @pytest.mark.parametrize("p", [
+        np.array([0.5, math.nan, 0.5]),
+        np.array([[0.5, 0.5], [math.nan, 1.0]]),
+        np.array([[0.5, 0.5], [0.25, math.nan]]),
+    ])
+    def test_distribution_with_a_nan_is_refused(self, p):
+        with pytest.raises(NumericalFailureError):
+            dynamics._finalize_distribution(p)

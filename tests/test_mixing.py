@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from necklace_walks import (
     assemble_hamiltonian,
     cos_bound_constant,
     cross_sector_min_gap,
+    default_degeneracy_tolerance,
     fit_loglog_slope,
     full_spectrum,
     gap_scan,
@@ -25,6 +27,7 @@ from necklace_walks import (
     limiting_distribution,
     vertex_state,
 )
+from necklace_walks import mixing
 
 K1_CONSTANT = (math.sqrt(2) - 1) / math.sqrt(2)
 
@@ -186,6 +189,28 @@ class TestGapScan:
     def test_rejects_thread_count_below_one(self, threads):
         with pytest.raises(InvalidParameterError):
             gap_scan([1], [8], threads=threads)
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_half_table_gives_the_full_table_records(self, d):
+        records, _ = gap_scan([d], [8, 9, 16, 33])
+        pearl = make_cycle_pearl() if d == 0 else make_comb_pearl(d)
+        for record in records:
+            values = all_sector_eigenvalues(NecklaceSpec(pearl, record.K)).ravel()
+            tau = default_degeneracy_tolerance(values)
+            assert record.tau_deg == tau
+            assert record.min_gap == min_nonzero_gap(values, tau)
+
+    def test_cases_run_on_the_calling_thread(self, monkeypatch):
+        threads = set()
+        solve = mixing.all_sector_eigenvalues
+
+        def recording(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(mixing, "all_sector_eigenvalues", recording)
+        gap_scan([1, 3], [8, 16, 32], threads=4)
+        assert threads == {threading.get_ident()}
 
 
 class TestSlopeFit:
