@@ -22,6 +22,7 @@ from .bloch import full_spectrum
 from .errors import NecklaceError
 from .graphs import (
     NecklaceSpec,
+    PearlSpec,
     assemble_hamiltonian,
     load_pearl_file,
     make_comb_pearl,
@@ -57,8 +58,8 @@ def _write_lines(lines: list[str], path: str | None) -> None:
             handle.write(text)
 
 
-def _pearl_from_args(args) -> tuple:
-    """Resolve the pearl source flags; returns (pearl, source_label)."""
+def _pearl_from_args(args) -> PearlSpec:
+    """The pearl that exactly one of the pearl source flags names."""
     chosen = [
         name
         for name, present in (
@@ -73,10 +74,10 @@ def _pearl_from_args(args) -> tuple:
             "exactly one pearl source required: --cycle, --comb-d D or --pearl-file PATH"
         )
     if args.cycle:
-        return make_cycle_pearl(), "cycle"
+        return make_cycle_pearl()
     if args.comb_d is not None:
-        return make_comb_pearl(args.comb_d), f"comb-d{args.comb_d}"
-    return load_pearl_file(args.pearl_file), args.pearl_file
+        return make_comb_pearl(args.comb_d)
+    return load_pearl_file(args.pearl_file)
 
 
 # Most values a --K or --d list may expand to; checked before expanding.
@@ -198,7 +199,7 @@ def _add_common(parser: argparse.ArgumentParser, start: bool = False) -> None:
 
 
 def cmd_spectrum(args) -> int:
-    pearl, _ = _pearl_from_args(args)
+    pearl = _pearl_from_args(args)
     necklace = NecklaceSpec(pearl, _single_k(args))
     spec = full_spectrum(necklace, threads=args.threads)
     k_index, n_index = spec.k_index.tolist(), spec.n_index.tolist()
@@ -221,7 +222,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_limiting(args) -> int:
-    pearl, _ = _pearl_from_args(args)
+    pearl = _pearl_from_args(args)
     necklace = NecklaceSpec(pearl, _single_k(args))
     j_start, m_start = _parse_start(args.start, necklace)
     spec = full_spectrum(necklace, threads=args.threads)
@@ -252,7 +253,7 @@ def cmd_limiting(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    pearl, _ = _pearl_from_args(args)
+    pearl = _pearl_from_args(args)
     K = _single_k(args)
     necklace = NecklaceSpec(pearl, K)
     j_start, m_start = _parse_start(args.start, necklace)
@@ -351,17 +352,12 @@ def _oracle_checks(necklace: NecklaceSpec, threads: int | None) -> dict:
 
 
 def cmd_oracle_check(args) -> int:
-    pearl, _ = _pearl_from_args(args)
+    pearl = _pearl_from_args(args)
     necklace = NecklaceSpec(pearl, _single_k(args))
     if necklace.n_vertices > 2000:
         raise _ConfigError(f"oracle-check caps at 2000 vertices, got {necklace.n_vertices}")
     report = _oracle_checks(necklace, args.threads)
-    text = json.dumps(report, indent=1, sort_keys=True) + "\n"
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+    _write_lines([json.dumps(report, indent=1, sort_keys=True)], args.output)
     return EXIT_OK if report["pass"] else EXIT_ORACLE
 
 
@@ -417,10 +413,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NecklaceError as exc:
+    except (_ConfigError, NecklaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -205,8 +205,7 @@ def comb1_high_k(K: int) -> Comb1HighK:
         raise InvalidParameterError(f"high-K summary needs K >= 50, got {K}")
     a = math.sqrt(2.0) / 4.0
     even = K % 2 == 0
-    c = 3.0 / (2.0 * K) if even else 3.0 / (4.0 * K)
-    cross = 1.0 / (2.0 * K) if even else 1.0 / (4.0 * K)
+    c, cross = _parity_corrections(K)
     return Comb1HighK(
         pearl_count=K,
         generic_base=(1.0 - a - c) / K,

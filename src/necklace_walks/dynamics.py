@@ -200,11 +200,6 @@ class _PairAverager:
         return 2.0 * self._bound_sum / T
 
 
-def _exact_kernel(x: np.ndarray) -> np.ndarray:
-    """G at D T = x, free of cancellation: sinc(x/pi) - i (x/2) sinc(x/(2 pi))^2."""
-    return np.sinc(x / math.pi) - 0.5j * x * np.sinc(x / (2.0 * math.pi)) ** 2
-
-
 class _SectorAverager:
     """The pair sums of :class:`_PairAverager` in Bloch form, for any start.
 
@@ -216,20 +211,21 @@ class _SectorAverager:
 
     one inverse FFT over q.  S_{K-q} = conj(S_q), so only q = 0..K//2 is
     formed.  Pairs inside one degenerate group have G = 1 and give the
-    limit.  Any other pair has G = (1 - u_a conj(u_b)) / (i D T) with
+    limit.  Any other pair has G = -z / (i D T) with z = exp(-i D T) - 1,
+    so a T is one contraction of z against the T-independent A conj(A) / D.
+    Each pair and its mirror under k <-> K-k share q, so the contraction
+    runs over one pair per couple, as a real product (see
+    :meth:`_pair_tables`).  Far pairs take z + 1 = u_a conj(u_b) with
     u = exp(-i lambda T), so a T costs (K//2 + 1) * M exponentials, as
-    lambda_{K-k} = lambda_k, and one contraction of their products against
-    the T-independent A conj(A) / D.  Each pair and its mirror under
-    k <-> K-k share q, so the contraction runs over one pair per couple, as
-    a real product (see :meth:`_pair_tables`).  The factored form loses
-    about eps / |D T| relative accuracy, so pairs with |D| below ``delta``
-    take the exact kernel at every T, and every pair does when
-    ``delta * T`` is small.
+    lambda_{K-k} = lambda_k, and the -1 is one subtraction per (q, T).  That
+    factored form loses about eps / |D T| relative accuracy, so pairs with
+    |D| below ``delta`` take z = expm1(-i D T) at every T, and every pair
+    does when ``delta * T`` is small.
 
     A whole grid of T is evaluated in one pass: the pair tables are built
     for a chunk of q at a time, within ``PAIR_CHUNK_BYTES``, and each chunk
-    is contracted against u_a conj(u_b) for a chunk of T at a time, written
-    into one buffer of about ``PHASE_CHUNK_BYTES``.  Memory is
+    is contracted against z for a chunk of T at a time, written into one
+    buffer of about ``PHASE_CHUNK_BYTES``.  Memory is
     O(budget + len(grid) * N).
     """
 
@@ -292,25 +288,32 @@ class _SectorAverager:
                 s += np.fft.ifft(np.abs(np.fft.fft(z, axis=1)) ** 2, axis=1).sum(axis=0)
         return s[: self.half]
 
+    @functools.cached_property
+    def _table_inputs(self) -> tuple:
+        """lambda, group ids, A and conj(A) with k last, read by every chunk's tables."""
+        amps = self.amps.transpose(2, 1, 0)
+        return tuple(np.ascontiguousarray(t) for t in (self.lam.T, self.gid.T, amps, amps.conj()))
+
     def _pair_tables(self, q0: int, q1: int, step: int = 1) -> dict:
         """T-independent tables over mirror couples, for q in range(q0, q1, step).
 
         Pair a = (k, n), b = (k - q, l), with w = A_a conj(A_b), is coupled
         with a' = (q - k, l), b' = (-k, n), with w'.  As lambda_{K-k} =
         lambda_k, the mirror has gap -D, the same groups and the conjugate
-        phase ph = u_a conj(u_b), so a couple enters S_q through
-        F(ph) = (w ph - w' conj(ph)) / D.  F is real-linear: its real and
-        imaginary parts are Re(ph conj(W0)) and Re(ph conj(W1)) with
+        phase, so with z = exp(-i D T) - 1 a couple enters S_q through
+        -F(z) / (i T), F(z) = (w z - w' conj(z)) / D.  F is real-linear: its
+        real and imaginary parts are Re(z conj(W0)) and Re(z conj(W1)) with
         W0 = (conj(w) - w') / D and W1 = i (conj(w) + w') / D, the
-        ``weights``, and F(1) is their ``total``.  One pair per couple is
-        kept: k = c + s, k - q = s - r for s = 0..K//2, c = ceil(q/2),
+        ``weights``.  ``total`` is F(1) summed over far pairs only, since
+        near weights reach 1 / tau_deg.  One pair per couple is kept:
+        k = c + s, k - q = s - r for s = 0..K//2, c = ceil(q/2),
         r = floor(q/2).  A column that is its own mirror holds both (n, l)
         and (l, n) and is weighted 1/2; one whose mirror is also in the
         window is weighted 0.
 
         Pairs are laid out [n, l, s]; ``weights`` is [q, m, (W0, W1), pair].
-        Near pairs keep (w, w') for the exact kernel, whose couple term is
-        w G + w' conj(G).  ``near_q`` counts q from ``q0``.
+        Near pairs, |D| < ``delta``, are listed by ``near_q``, counted from
+        ``q0``, their flat pair index ``near_pair`` and ``near_gaps``.
         """
         K, M = self.K, self.M
         qs = np.arange(q0, q1, step)[:, None]
@@ -323,37 +326,34 @@ class _SectorAverager:
             return np.moveaxis(np.take(table, k, axis=-1), -2, 0)
 
         a, b = (c + s) % K, (s - r) % K                   # mirror: a' = (r - s), b' = (-c - s)
-        lam, gid = np.ascontiguousarray(self.lam.T), np.ascontiguousarray(self.gid.T)
-        amps = np.ascontiguousarray(self.amps.transpose(2, 1, 0))     # [m, n, k]
-        amps_conj = amps.conj()
+        lam, gid, amps, amps_conj = self._table_inputs                # amps is [m, n, k]
         gaps = np.subtract(at(lam, a)[:, :, None], at(lam, b)[:, None], order="C")  # [q, n, l, s]
         cross = np.not_equal(at(gid, a)[:, :, None], at(gid, b)[:, None], order="C")
         cross &= col > 0.0
         near = cross & (np.abs(gaps) < self.delta)
-        far = cross & ~near
         weights = np.empty((len(qs), M, 2) + gaps.shape[1:], dtype=complex)
         w0, w1 = weights[:, :, 0], weights[:, :, 1]                   # [q, m, n, l, s]
         np.multiply(at(amps_conj, a)[:, :, :, None], at(amps, b)[:, :, None], out=w0)
         np.multiply(at(amps, (r - s) % K)[:, :, None], at(amps_conj, (-c - s) % K)[:, :, :, None],
                     out=w1)                                           # conj(w) and w'
-        near_terms = np.stack([np.moveaxis(w0, 1, -1)[near].conj(),
-                               np.moveaxis(w1, 1, -1)[near]], axis=1)
-        near_terms *= np.broadcast_to(col, near.shape)[near][:, None, None]
         total = w0 + w1
         w0 -= w1
-        scale = np.where(far, col / np.where(far, gaps, 1.0), 0.0)[:, None]
+        scale = np.where(cross, col / np.where(cross, gaps, 1.0), 0.0)[:, None]
         w0 *= scale
         np.multiply(total.imag, -scale, out=w1.real)                  # w1 = i scale total
         np.multiply(total.real, scale, out=w1.imag)
         del total
         weights = weights.reshape(len(qs), M, 2, -1)
+        gaps, near = gaps.reshape(len(qs), -1), near.reshape(len(qs), -1)
+        near_q, near_pair = np.nonzero(near)
+        far = np.where(near[:, None, None], 0.0, weights.real)
         return {
-            "gaps": gaps.reshape(len(qs), -1),
+            "gaps": gaps,
             "weights": weights,
-            "total": weights.real.sum(axis=3) @ np.array([1.0, 1j]),   # F(1)
-            "near_q": np.nonzero(near)[0],
+            "total": far.sum(axis=3) @ np.array([1.0, 1j]),          # F(1) over far pairs
+            "near_q": near_q,
+            "near_pair": near_pair,
             "near_gaps": gaps[near],
-            "near_terms": near_terms,
         }
 
     def _cross_sums(self, times: np.ndarray) -> np.ndarray:
@@ -372,8 +372,8 @@ class _SectorAverager:
         del u
         behind = ahead[:, :, np.abs(np.arange(-r_max, h))]
         np.conjugate(behind, out=behind)
-        # A chunk's tables and their build temporaries take at most about 48 M + 112 bytes a pair.
-        q_step = max(1, PAIR_CHUNK_BYTES // ((48 * M + 112) * M * M * h))
+        # A chunk's tables and their build temporaries take at most about 52 M + 100 bytes a pair.
+        q_step = max(1, PAIR_CHUNK_BYTES // ((52 * M + 100) * M * M * h))
         s = np.empty((h, len(times), M), dtype=complex)
         for parity in (0, 1):
             for q0 in range(parity, h, 2 * q_step):
@@ -385,26 +385,22 @@ class _SectorAverager:
                     behind: np.ndarray, out: np.ndarray) -> None:
         """Write S_q[m](T) for q in range(q0, q1, 2) into ``out``.
 
-        Each chunk of T is one real batched product of the phases, viewed as
-        (Re, Im) pairs, against the weights: [q, t, 2 pair] @ [q, 2 pair, 2 m].
-        The chunk's tables go when this returns, before the next are built.
+        Each chunk of T writes z for every pair into one phase buffer, then
+        makes one real batched product of it, viewed as (Re, Im) pairs,
+        against the weights: [q, t, 2 pair] @ [q, 2 pair, 2 m] gives F(z).
+        Below the ``SMALL_DT`` switch every z is expm1(-i D T).  Above it far
+        pairs hold z + 1 = u_a conj(u_b), whose F(1) is taken off afterwards,
+        and near pairs hold expm1(-i D T).  The chunk's tables go when this
+        returns, before the next are built.
         """
         M, S = self.M, self.half
         tables = self._pair_tables(q0, q1, 2)
         n_q, n_t, pairs = out.shape[0], len(times), tables["gaps"].shape[1]
         weights = tables["weights"].view(float).reshape(n_q, 2 * M, 2 * pairs).transpose(0, 2, 1)
-
-        def real_linear(z, t0, t1):                       # F(z) into out[:, t0:t1]
-            np.matmul(z.reshape(n_q, t1 - t0, pairs).view(float), weights,
-                      out=out[:, t0:t1].view(float))
-
         gaps = tables["gaps"][:, None, :]
+        near_q, near_pair, near_gaps = tables["near_q"], tables["near_pair"], tables["near_gaps"]
         n_exact = int(np.searchsorted(self.delta * times, self.SMALL_DT))
         t_step = max(1, PHASE_CHUNK_BYTES // (16 * n_q * pairs))
-        for t0 in range(0, n_exact, t_step):             # F(i D G) = i (w G + w' conj(G))
-            t1 = min(t0 + t_step, n_exact)
-            real_linear(1j * gaps * _exact_kernel(gaps * times[None, t0:t1, None]), t0, t1)
-        out[:, :n_exact] *= -1j
         c0, start_b = (q0 + 1) // 2, (self.half - 1) // 2 - q0 // 2
         window = np.lib.stride_tricks.sliding_window_view
         u_a = window(ahead, S, axis=2)[:, :, c0:c0 + n_q]
@@ -412,18 +408,17 @@ class _SectorAverager:
         u_a = u_a.transpose(2, 0, 1, 3)[:, :, :, None]    # [q, t, n, 1, s]
         u_b = u_b.transpose(2, 0, 1, 3)[:, :, None]       # [q, t, 1, l, s]
         phases = np.empty((n_q, t_step, M, M, S), dtype=complex)
-        for t0 in range(n_exact, n_t, t_step):
-            t1 = min(t0 + t_step, n_t)
-            np.multiply(u_a[:, t0:t1], u_b[:, t0:t1], out=phases[:, : t1 - t0])
-            real_linear(phases[:, : t1 - t0], t0, t1)
-        factored = out[:, n_exact:]
-        factored[...] = (tables["total"][:, None] - factored) / (1j * times[None, n_exact:, None])
-        near_gaps, near_terms = tables["near_gaps"][:, None], tables["near_terms"]
-        n_step = max(1, PHASE_CHUNK_BYTES // (32 * M * max(len(near_gaps), 1)))
-        for t0 in range(0, n_t, n_step):
-            kernel = _exact_kernel(near_gaps * times[None, t0:t0 + n_step])
-            terms = np.stack([kernel, kernel.conj()], axis=-1) @ near_terms
-            np.add.at(out[:, t0:t0 + n_step], tables["near_q"], terms)
+        starts = [*range(0, n_exact, t_step), *range(n_exact, n_t, t_step)]
+        for t0, t1 in zip(starts, starts[1:] + [n_t]):
+            z = phases[:, : t1 - t0].reshape(n_q, t1 - t0, pairs)
+            if t0 < n_exact:
+                np.expm1(-1j * (gaps * times[None, t0:t1, None]), out=z)
+            else:
+                np.multiply(u_a[:, t0:t1], u_b[:, t0:t1], out=phases[:, : t1 - t0])
+                z[near_q, :, near_pair] = np.expm1(-1j * (near_gaps[:, None] * times[t0:t1]))
+            np.matmul(z.view(float), weights, out=out[:, t0:t1].view(float))
+        out[:, n_exact:] -= tables["total"][:, None]
+        out /= -1j * times[None, :, None]
 
     @functools.cached_property
     def _gap_sum(self) -> float:
@@ -469,8 +464,10 @@ def time_averaged(
 ) -> np.ndarray:
     """Distribution averaged uniformly over measurement times in [0, T].
 
-    Uses the exact kernel G(D, T); the D = 0 branch is taken for pairs in
-    the same degenerate group of the partition at ``tau_deg``.
+    Uses the closed-form kernel G(D, T) = -z / (i D T), z = exp(-i D T) - 1,
+    with z from ``expm1`` wherever the factored phase would lose accuracy;
+    the D = 0 branch is taken for pairs in the same degenerate group of the
+    partition at ``tau_deg``.
     """
     return _SectorAverager(spec, phi0, tau_deg).averaged(T)
 

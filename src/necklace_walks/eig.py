@@ -1,10 +1,11 @@
 """Dense Hermitian eigendecomposition with deterministic output conventions.
 
-All spectral code in the package funnels through :func:`eigh` so that
-eigenvalue ordering and eigenvector phases are fixed once: eigenvalues
-ascending, each eigenvector scaled so its largest-magnitude component is
-real and positive.  Real symmetric input follows the same path with zero
-imaginary parts.
+:func:`eigh` solves one matrix, for a single sector and for the brute-force
+oracle: eigenvalues ascending, each eigenvector scaled so its
+largest-magnitude component is real and positive.  Real symmetric input
+follows the same path with zero imaginary parts.  The stacked sector solve
+in :mod:`necklace_walks.bloch` calls ``np.linalg`` directly and applies the
+same phase convention through :func:`fix_phases`.
 """
 
 from __future__ import annotations
@@ -58,16 +59,14 @@ def fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigh(matrix, hermiticity_tol: float = HERMITICITY_TOL) -> EigenDecomposition:
+def eigh(matrix) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian (or real symmetric) matrix.
 
     Parameters
     ----------
     matrix : array_like, square
-        Hermitian within ``hermiticity_tol`` entrywise; it is symmetrized
-        before factorization.
-    hermiticity_tol : float
-        Entrywise tolerance on ``|A - A^H|``.
+        Hermitian within ``HERMITICITY_TOL`` entrywise on ``|A - A^H|``;
+        it is symmetrized before factorization.
 
     Returns
     -------
@@ -86,10 +85,10 @@ def eigh(matrix, hermiticity_tol: float = HERMITICITY_TOL) -> EigenDecomposition
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidMatrixError(f"expected a square matrix, got shape {a.shape}")
     deviation = np.abs(a - a.conj().T).max() if a.size else 0.0
-    if deviation > hermiticity_tol:
+    if deviation > HERMITICITY_TOL:
         raise InvalidMatrixError(
             f"matrix is not Hermitian: max |A - A^H| = {deviation:.3e} "
-            f"exceeds {hermiticity_tol:.1e}"
+            f"exceeds {HERMITICITY_TOL:.1e}"
         )
     a = (a + a.conj().T) / 2.0
     try:

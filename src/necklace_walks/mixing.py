@@ -176,7 +176,7 @@ def gap_scan(
         return GapScanRecord(d=d, K=k, min_gap=min_nonzero_gap(values, tau), tau_deg=tau)
 
     cases = [(d, k) for d in d_list for k in k_list]
-    records = ordered_map(one_case, cases, threads=1)
+    records = ordered_map(one_case, cases)
     slopes: dict[int, float] = {}
     for d in d_list:
         own = [r for r in records if r.d == d]

@@ -1,13 +1,12 @@
-"""Deterministic thread-pool helpers.
+"""Thread-count validation and the ordered map that the gap scan runs on.
 
-Work items are independent and results are merged in input order, so the
-output is identical for any thread count.
+Every computation runs on the calling thread, so the output is identical
+for any thread count; the count is still validated where it is accepted.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import InvalidParameterError
 
@@ -31,11 +30,6 @@ def resolve_thread_count(threads: int | None = None) -> int:
     return 1
 
 
-def ordered_map(fn, items, threads: int | None = None) -> list:
-    """Map ``fn`` over ``items``, preserving input order in the result."""
-    count = resolve_thread_count(threads)
-    items = list(items)
-    if count == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(fn, items))
+def ordered_map(fn, items) -> list:
+    """Map ``fn`` over ``items`` on the calling thread, in input order."""
+    return [fn(item) for item in items]

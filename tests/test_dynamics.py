@@ -421,6 +421,15 @@ GRID_CASES = [
     (make_comb_pearl(2), 16, (5, 3)),     # flat band: one group of K members
     (custom_four_vertex_pearl(), 9, (2, 3)),
 ]
+# GRID_CASES have no near pair; d=1 K=96 has 6, so near pairs meet the
+# SMALL_DT switch and one-q, one-T chunks.
+NEAR_PAIR_CASE = (make_comb_pearl(1), 96, (6, 1))
+
+
+def assert_near_pairs_only_in_near_case(spec, phi):
+    averager = _SectorAverager(spec, phi, None)
+    near = len(averager._pair_tables(0, averager.half)["near_q"]) > 0
+    assert near == (spec.necklace.K == NEAR_PAIR_CASE[1])
 
 
 class TestBoundWithoutPairTables:
@@ -442,7 +451,7 @@ class TestBoundWithoutPairTables:
 
 
 class TestGridRoute:
-    @pytest.mark.parametrize("pearl, K, start", GRID_CASES)
+    @pytest.mark.parametrize("pearl, K, start", GRID_CASES + [NEAR_PAIR_CASE])
     @pytest.mark.parametrize("pair_bytes, phase_bytes", [(1, 1), (1 << 17, 1 << 16)])
     def test_chunk_budgets_leave_tv_unchanged(self, pearl, K, start, pair_bytes,
                                               phase_bytes, monkeypatch):
@@ -450,6 +459,7 @@ class TestGridRoute:
         neck = NecklaceSpec(pearl, K)
         spec = full_spectrum(neck)
         phi = vertex_state(neck, *start)
+        assert_near_pairs_only_in_near_case(spec, phi)
         kwargs = dict(t_hi=1e5, t_lo=1e-5, ratio=1.3)
         default = mixing_time(spec, phi, 0.1, **kwargs)
         monkeypatch.setattr(dynamics, "PAIR_CHUNK_BYTES", pair_bytes)
@@ -459,17 +469,33 @@ class TestGridRoute:
         assert chunked.t_mix == default.t_mix
         assert chunked.bound_at_unit == pytest.approx(default.bound_at_unit, rel=1e-13)
 
-    @pytest.mark.parametrize("pearl, K, start", GRID_CASES)
+    @pytest.mark.parametrize("pearl, K, start", GRID_CASES + [NEAR_PAIR_CASE])
     def test_grid_across_small_dt_matches_dense(self, pearl, K, start):
         neck = NecklaceSpec(pearl, K)
         spec = full_spectrum(neck)
         phi = vertex_state(neck, *start)
+        assert_near_pairs_only_in_near_case(spec, phi)
         kwargs = dict(t_hi=1e3, t_lo=1e-6, ratio=1.2)
         sector = mixing_time(spec, phi, 0.1, **kwargs)
         tvs, t_mix, _ = dense_mixing(spec, phi, sector)
         averager = _SectorAverager(spec, phi, None)
         exact = averager.delta * sector.grid < averager.SMALL_DT
         assert exact.any() and not exact.all()
+        assert np.abs(sector.tv_values - tvs).max() < 1e-12
+        assert sector.t_mix == t_mix
+
+    def test_close_cross_group_gap_matches_dense(self):
+        # Sector 2's lowest eigenvalue, and its mirror's in sector 10, moved to
+        # 1e-6 above sector 3's: a cross-group pair about 40 tau_deg apart, on
+        # which the factored phase would lose about eps / (1e-6 T).
+        neck = NecklaceSpec(make_comb_pearl(1), 12)
+        spec = full_spectrum(neck)
+        lam = spec.eigenvalues.reshape(12, 2).copy()
+        lam[[2, 10], 0] = lam[3, 0] + 1e-6
+        moved = FullSpectrum(neck, lam.ravel(), spec.sector_vectors)
+        phi = vertex_state(neck, 1, 1)
+        sector = mixing_time(moved, phi, 0.1, t_hi=1e5, t_lo=1e-6, ratio=1.2)
+        tvs, t_mix, _ = dense_mixing(moved, phi, sector)
         assert np.abs(sector.tv_values - tvs).max() < 1e-12
         assert sector.t_mix == t_mix
 
