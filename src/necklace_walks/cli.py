@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -177,6 +178,21 @@ def _single_k(args) -> int:
         raise _ConfigError(f"bad --K value {args.K!r}") from exc
 
 
+def _guard_memory(K: int, M: int, extra: int = 0) -> None:
+    """Refuse a run whose estimated bytes exceed physical memory, before it allocates.
+
+    The sector stack takes 16 K M^2 bytes; ``extra`` is what the command adds.
+    """
+    try:
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):    # no sysconf here: no known limit
+        return
+    need = 16 * K * M * M + extra
+    if need > limit:
+        raise _ConfigError(f"K={K} with M={M} needs about {need / 2**30:.3g} GiB, more than "
+                           f"the {limit / 2**30:.3g} GiB of physical memory")
+
+
 def _add_common(parser: argparse.ArgumentParser, start: bool = False) -> None:
     parser.add_argument("--cycle", action="store_true", help="single-vertex pearl (plain cycle)")
     parser.add_argument("--comb-d", type=int, default=None, metavar="D",
@@ -201,6 +217,8 @@ def _add_common(parser: argparse.ArgumentParser, start: bool = False) -> None:
 def cmd_spectrum(args) -> int:
     pearl = _pearl_from_args(args)
     necklace = NecklaceSpec(pearl, _single_k(args))
+    N = necklace.n_vertices
+    _guard_memory(necklace.K, pearl.m, 16 * N * N if args.vectors_out is not None else 0)
     spec = full_spectrum(necklace, threads=args.threads)
     k_index, n_index = spec.k_index.tolist(), spec.n_index.tolist()
     rows = map("{},{},{:.15g}".format, k_index, n_index, spec.eigenvalues.tolist())
@@ -225,6 +243,7 @@ def cmd_limiting(args) -> int:
     pearl = _pearl_from_args(args)
     necklace = NecklaceSpec(pearl, _single_k(args))
     j_start, m_start = _parse_start(args.start, necklace)
+    _guard_memory(necklace.K, pearl.m)
     spec = full_spectrum(necklace, threads=args.threads)
     phi0 = dynamics.vertex_state(necklace, j_start, m_start)
     pi = dynamics.limiting_distribution(spec, phi0, tau_deg=args.tau_deg)
@@ -257,6 +276,8 @@ def cmd_mix(args) -> int:
     K = _single_k(args)
     necklace = NecklaceSpec(pearl, K)
     j_start, m_start = _parse_start(args.start, necklace)
+    points = len(dynamics.geometric_grid(args.T_lo, args.T_hi))
+    _guard_memory(K, pearl.m, dynamics.PAIR_CHUNK_BYTES + 40 * points * necklace.n_vertices)
     spec = full_spectrum(necklace, threads=args.threads)
     phi0 = dynamics.vertex_state(necklace, j_start, m_start)
 
@@ -285,6 +306,7 @@ def cmd_mix(args) -> int:
 def cmd_gap_scan(args) -> int:
     d_list = _parse_int_list(args.d, log_spaced=False)
     k_list = _parse_int_list(args.K, log_spaced=not args.linear)
+    _guard_memory(max(k_list), max(d_list) + 1)       # pearl d has d + 1 vertices (d = 0: cycle)
     records, slopes = mixing.gap_scan(d_list, k_list, threads=args.threads)
     lines = ["d,K,min_gap"]
     lines.extend("{},{},{:.15g}".format(r.d, r.K, r.min_gap) for r in records)

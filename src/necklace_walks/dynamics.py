@@ -362,15 +362,18 @@ class _SectorAverager:
         q runs in chunks of one parity, where the offsets c and r of
         :meth:`_pair_tables` step by one, so u_a and conj(u_b) are strided
         windows of ``ahead``, u at sectors 0, 1, .., and ``behind``, conj(u)
-        at sectors -r_max, .., K//2.
+        at sectors -r_max, .., K//2.  Both are [t, m, sector] with the
+        sector axis contiguous (``np.take``, not a fancy index, which would
+        put that axis outermost), so each window row the phase products
+        read is one contiguous run.
         """
         K, M, h = self.K, self.M, self.half
         r_max = (h - 1) // 2
         u = np.exp(-1j * times[:, None, None] * self.lam[:h].T)      # [t, m, k], k <= K//2
         sectors = np.arange(h // 2 + h)
-        ahead = u[:, :, np.minimum(sectors, K - sectors)]             # lambda_{K-k} = lambda_k
+        ahead = np.take(u, np.minimum(sectors, K - sectors), axis=2)  # lambda_{K-k} = lambda_k
         del u
-        behind = ahead[:, :, np.abs(np.arange(-r_max, h))]
+        behind = np.take(ahead, np.abs(np.arange(-r_max, h)), axis=2)
         np.conjugate(behind, out=behind)
         # A chunk's tables and their build temporaries take at most about 52 M + 100 bytes a pair.
         q_step = max(1, PAIR_CHUNK_BYTES // ((52 * M + 100) * M * M * h))
@@ -390,8 +393,10 @@ class _SectorAverager:
         against the weights: [q, t, 2 pair] @ [q, 2 pair, 2 m] gives F(z).
         Below the ``SMALL_DT`` switch every z is expm1(-i D T).  Above it far
         pairs hold z + 1 = u_a conj(u_b), whose F(1) is taken off afterwards,
-        and near pairs hold expm1(-i D T).  The chunk's tables go when this
-        returns, before the next are built.
+        and near pairs hold expm1(-i D T), written over their places.  The
+        near z are formed for a span of several chunks of T at once, and a
+        chunk of q without near pairs skips the write.  The chunk's tables
+        go when this returns, before the next are built.
         """
         M, S = self.M, self.half
         tables = self._pair_tables(q0, q1, 2)
@@ -408,6 +413,11 @@ class _SectorAverager:
         u_a = u_a.transpose(2, 0, 1, 3)[:, :, :, None]    # [q, t, n, 1, s]
         u_b = u_b.transpose(2, 0, 1, 3)[:, :, None]       # [q, t, 1, l, s]
         phases = np.empty((n_q, t_step, M, M, S), dtype=complex)
+        # Near z are formed for a span of whole chunks of T, into one block of
+        # at most PHASE_CHUNK_BYTES / 16 bytes: a larger span saves no time and
+        # would raise the peak of the pass.
+        span = t_step * max(1, PHASE_CHUNK_BYTES // (256 * t_step * max(len(near_q), 1)))
+        near_z = np.empty((len(near_q), span), dtype=complex)
         starts = [*range(0, n_exact, t_step), *range(n_exact, n_t, t_step)]
         for t0, t1 in zip(starts, starts[1:] + [n_t]):
             z = phases[:, : t1 - t0].reshape(n_q, t1 - t0, pairs)
@@ -415,7 +425,12 @@ class _SectorAverager:
                 np.expm1(-1j * (gaps * times[None, t0:t1, None]), out=z)
             else:
                 np.multiply(u_a[:, t0:t1], u_b[:, t0:t1], out=phases[:, : t1 - t0])
-                z[near_q, :, near_pair] = np.expm1(-1j * (near_gaps[:, None] * times[t0:t1]))
+                if len(near_q):
+                    offset = (t0 - n_exact) % span
+                    if offset == 0:
+                        block = times[t0:t0 + span]
+                        np.expm1(-1j * (near_gaps[:, None] * block), out=near_z[:, : len(block)])
+                    z[near_q, :, near_pair] = near_z[:, offset:offset + t1 - t0]
             np.matmul(z.view(float), weights, out=out[:, t0:t1].view(float))
         out[:, n_exact:] -= tables["total"][:, None]
         out /= -1j * times[None, :, None]

@@ -1,7 +1,19 @@
+import os
+
 import numpy as np
 import pytest
 
 from necklace_walks import make_custom_pearl
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.fixture(autouse=True, scope="session")
+def package_on_child_path():
+    """Child processes running ``python -m necklace_walks.cli`` import the package from src/."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", SRC, prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture

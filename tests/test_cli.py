@@ -9,6 +9,7 @@ import pytest
 
 from necklace_walks import (
     NecklaceSpec,
+    bloch,
     cli,
     comb1_limiting_distribution,
     full_spectrum,
@@ -378,6 +379,41 @@ class TestRangeEnds:
         code, _, err = run_cli(["gap-scan", "--d", "1", "--K", "8,16", "--log"], capsys)
         assert code == 1
         assert "--log" in err
+
+
+class TestMemoryGuard:
+    HUGE_K = str(10**15)
+
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a refused K reached the sector allocation")
+
+        monkeypatch.setattr(bloch, "_solve_half", refuse)
+        monkeypatch.setattr(cli, "full_spectrum", refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--comb-d", "1", "--K", HUGE_K],
+        ["limiting", "--comb-d", "2", "--K", HUGE_K, "--start", "0"],
+        ["mix", "--cycle", "--K", HUGE_K, "--start", "0", "--eps", "0.1"],
+        ["gap-scan", "--d", "0,1", "--K", f"16,{HUGE_K}"],
+    ])
+    def test_huge_k_exits_one_before_allocating(self, argv, no_solve, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "GiB of physical memory" in err
+
+    def test_vectors_out_counts_the_lifted_basis(self, no_solve, monkeypatch, tmp_path, capsys):
+        # A 1 GiB machine: K = 2^20 at M = 2 has 64 MiB of sector vectors but
+        # a 64 TiB lifted basis.
+        monkeypatch.setattr(os, "sysconf", lambda name: 1 << 20 if name == "SC_PAGE_SIZE" else 1024)
+        cli._guard_memory(1 << 20, 2)
+        argv = ["spectrum", "--comb-d", "1", "--K", str(1 << 20),
+                "--vectors-out", str(tmp_path / "v.json")]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert "the 1 GiB of physical memory" in err
 
 
 class TestNonFiniteValues:

@@ -509,6 +509,35 @@ class TestGridRoute:
         with pytest.raises(InvalidParameterError):
             averager.averaged_grid(np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("pearl, K", [
+        (make_comb_pearl(1), 24),
+        (make_comb_pearl(2), 16),
+        (make_cycle_pearl(), 40),
+    ])
+    def test_all_near_pairs_on_a_long_grid_stay_in_budget(self, pearl, K, monkeypatch):
+        # NEAR_GAP_REL = 10 makes every cross pair near, so every phase of a
+        # 3695-point grid goes through expm1: that must stay a span at a time.
+        neck = NecklaceSpec(pearl, K)
+        spec = full_spectrum(neck)
+        phi = vertex_state(neck, 1, 1)
+        kwargs = dict(t_hi=1e5, t_lo=1e-3, ratio=1.005)
+        default = mixing_time(spec, phi, 0.1, **kwargs)
+        monkeypatch.setattr(_SectorAverager, "NEAR_GAP_REL", 10.0)
+        averager = _SectorAverager(spec, phi, None)
+        tables = averager._pair_tables(0, averager.half)
+        assert len(tables["near_q"]) > 0 and not tables["total"].any()
+        tracemalloc.start()
+        try:
+            near = mixing_time(spec, phi, 0.1, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(near.grid) == 3695
+        assert np.abs(near.tv_values - default.tv_values).max() < 1e-13
+        assert near.t_mix == default.t_mix
+        budget = dynamics.PAIR_CHUNK_BYTES + dynamics.PHASE_CHUNK_BYTES
+        assert peak < budget + 48 * len(near.grid) * neck.n_vertices
+
     def test_peak_memory_is_below_the_whole_pair_table(self):
         neck = NecklaceSpec(make_comb_pearl(1), 400)
         spec = full_spectrum(neck)
