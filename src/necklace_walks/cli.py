@@ -218,24 +218,29 @@ def cmd_spectrum(args) -> int:
     pearl = _pearl_from_args(args)
     necklace = NecklaceSpec(pearl, _single_k(args))
     N = necklace.n_vertices
-    _guard_memory(necklace.K, pearl.m, 16 * N * N if args.vectors_out is not None else 0)
+    # --vectors-out lifts the dense basis, built next to its K x K plane-wave phases.
+    lifted = 16 * (N * N + necklace.K ** 2) if args.vectors_out is not None else 0
+    _guard_memory(necklace.K, pearl.m, lifted)
     spec = full_spectrum(necklace, threads=args.threads)
     k_index, n_index = spec.k_index.tolist(), spec.n_index.tolist()
     rows = map("{},{},{:.15g}".format, k_index, n_index, spec.eigenvalues.tolist())
     _write_lines(["k,n,lambda", *rows], args.output)
     if args.vectors_out is not None:
-        records = []
-        for a in range(spec.size):
-            records.append({
-                "k": k_index[a],
-                "n": n_index[a],
-                "lambda": float(spec.eigenvalues[a]),
-                "vector_re": [float(v) for v in spec.vectors[:, a].real],
-                "vector_im": [float(v) for v in spec.vectors[:, a].imag],
-            })
+        vectors = spec.vectors
         with open(args.vectors_out, "w", encoding="utf-8", newline="") as handle:
-            json.dump(records, handle, indent=1)
-            handle.write("\n")
+            # One record at a time, laid out as json.dump(records, indent=1) lays out the list.
+            handle.write("[\n")
+            for a in range(spec.size):
+                record = {
+                    "k": k_index[a],
+                    "n": n_index[a],
+                    "lambda": float(spec.eigenvalues[a]),
+                    "vector_re": vectors[:, a].real.tolist(),
+                    "vector_im": vectors[:, a].imag.tolist(),
+                }
+                text = json.dumps(record, indent=1).replace("\n", "\n ")
+                handle.write((",\n " if a else " ") + text)
+            handle.write("\n]\n")
     return EXIT_OK
 
 

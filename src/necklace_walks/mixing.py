@@ -151,10 +151,19 @@ def gap_scan(
 ) -> tuple[list[GapScanRecord], dict[int, float]]:
     """Scan minimum nonzero gaps over comb necklaces (d = 0 means plain cycle).
 
-    Returns the per-(d, K) records, ordered by (d, K), and the fitted
-    log-log slope per d (NaN when fewer than two K values are given).
-    ``threads`` is validated; the cases run on one thread, since a thread
-    pool bought no wall time over one thread and cost extra CPU.
+    Returns the per-(d, K) records in ``k_list`` order within each d,
+    duplicates included, and the fitted log-log slope per d (NaN when fewer
+    than two K values are given).
+
+    K values in ``k_list`` that share an odd part form a doubling chain.
+    Momentum ``2 pi k / K`` is the same float as ``2 pi (2k) / (2K)``,
+    since scaling by 2 is exact, so K's sectors are bit for bit the even
+    sectors of 2K.  Each pearl therefore solves only the largest K of each
+    chain, its head, and slices every other member's rows out of the
+    head's table; the records are those of a solve per K.  Chains run one
+    at a time, so the peak memory is one head table.  ``threads`` is
+    validated; the chains run on the calling thread, since a thread pool
+    bought no wall time over one thread and cost extra CPU.
     """
     d_list = [int(d) for d in d_list]
     k_list = [int(k) for k in k_list]
@@ -167,16 +176,28 @@ def gap_scan(
 
     resolve_thread_count(threads)
 
-    def one_case(case: tuple[int, int]) -> GapScanRecord:
-        d, k = case
-        pearl = make_cycle_pearl() if d == 0 else make_comb_pearl(d)
-        # Rows k and K-k are bit-identical, so rows 0..K//2 hold every distinct value.
-        values = all_sector_eigenvalues(NecklaceSpec(pearl, k))[: k // 2 + 1].ravel()
-        tau = default_degeneracy_tolerance(values)
-        return GapScanRecord(d=d, K=k, min_gap=min_nonzero_gap(values, tau), tau_deg=tau)
+    chains: dict[int, list[int]] = {}
+    for k in dict.fromkeys(k_list):
+        chains.setdefault(k // (k & -k), []).append(k)    # keyed by K's odd part
 
-    cases = [(d, k) for d in d_list for k in k_list]
-    records = ordered_map(one_case, cases)
+    def one_chain(case: tuple[int, list[int]]) -> list[GapScanRecord]:
+        d, members = case
+        pearl = make_cycle_pearl() if d == 0 else make_comb_pearl(d)
+        head = max(members)
+        table = all_sector_eigenvalues(NecklaceSpec(pearl, head))
+        chain = []
+        for k in members:
+            # Rows k and K-k are bit-identical, so rows 0..K//2 hold every
+            # distinct value; row k of K is row k * head / K of the head.
+            values = table[: head // 2 + 1 : head // k].ravel()
+            tau = default_degeneracy_tolerance(values)
+            chain.append(GapScanRecord(d=d, K=k, min_gap=min_nonzero_gap(values, tau),
+                                       tau_deg=tau))
+        return chain
+
+    cases = [(d, members) for d in dict.fromkeys(d_list) for members in chains.values()]
+    found = {(r.d, r.K): r for chain in ordered_map(one_chain, cases) for r in chain}
+    records = [found[d, k] for d in d_list for k in k_list]
     slopes: dict[int, float] = {}
     for d in d_list:
         own = [r for r in records if r.d == d]

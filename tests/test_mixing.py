@@ -1,8 +1,12 @@
 import math
 import threading
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from necklace_walks import (
     DegenerateSpectrumError,
@@ -211,6 +215,58 @@ class TestGapScan:
         monkeypatch.setattr(mixing, "all_sector_eigenvalues", recording)
         gap_scan([1, 3], [8, 16, 32], threads=4)
         assert threads == {threading.get_ident()}
+
+    @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_chain_sharing_is_exact(self, data):
+        d_list = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=2, unique=True))
+        chained = st.builds(lambda odd, j: odd << j, st.sampled_from([3, 5, 7, 9]),
+                            st.integers(0, 6))
+        k_list = data.draw(st.lists(chained | st.integers(3, 200), min_size=1, max_size=10))
+        k_list = data.draw(st.permutations(k_list + data.draw(
+            st.lists(st.sampled_from(k_list), max_size=3))))
+        pearls = {d: make_cycle_pearl() if d == 0 else make_comb_pearl(d) for d in d_list}
+
+        solved = []
+        solve = mixing.all_sector_eigenvalues
+
+        def recording(necklace, *args, **kwargs):
+            solved.append((necklace.pearl.m, necklace.K))
+            return solve(necklace, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mixing, "all_sector_eigenvalues", recording)
+            records, _ = gap_scan(d_list, k_list)
+
+        heads = {}
+        for k in k_list:
+            odd = k // (k & -k)
+            heads[odd] = max(heads.get(odd, k), k)
+        assert Counter(solved) == Counter(
+            (pearls[d].m, head) for d in d_list for head in heads.values())
+        assert [(r.d, r.K) for r in records] == [(d, k) for d in d_list for k in k_list]
+        for record in records:
+            values = all_sector_eigenvalues(
+                NecklaceSpec(pearls[record.d], record.K))[: record.K // 2 + 1].ravel()
+            tau = default_degeneracy_tolerance(values)
+            assert record.tau_deg == tau
+            assert record.min_gap == min_nonzero_gap(values, tau)
+
+    def test_peak_memory_is_one_head_table(self):
+        pearl = make_comb_pearl(8)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_head = peak(lambda: all_sector_eigenvalues(NecklaceSpec(pearl, 16384)))
+        scan = peak(lambda: gap_scan([8], [64 << j for j in range(9)]))   # 64..16384
+        assert scan <= 1.25 * one_head
 
 
 class TestSlopeFit:
