@@ -50,6 +50,38 @@ def _format(value: float) -> str:
     return f"{value:.15g}"
 
 
+def _format_column(values) -> np.ndarray:
+    """``_format`` of every value, as an object array of str shaped like ``values``.
+
+    Sorting the int64 bit patterns puts repeats side by side, so each
+    distinct pattern is formatted once (0.0 and -0.0, or two NaN payloads,
+    apart) and its text scattered back.
+    """
+    x = np.ascontiguousarray(values, dtype=float)
+    flat = x.ravel()
+    order = np.argsort(flat.view(np.int64))
+    bits = flat.view(np.int64)[order]
+    new = np.ones(len(flat), dtype=bool)                  # first of its bit pattern
+    new[1:] = bits[1:] != bits[:-1]
+    distinct = flat[order[new]].tolist()
+    # One format call for the whole column is cheaper than one per value.
+    text = np.array(("{:.15g}\n" * len(distinct)).format(*distinct).split("\n")[:-1],
+                    dtype=object)
+    out = np.empty(len(flat), dtype=object)
+    out[order] = text[np.cumsum(new) - 1]
+    return out.reshape(x.shape)
+
+
+def _labels(count: int) -> np.ndarray:
+    """"0", "1", .., as an object array of str."""
+    return np.array(list(map(str, range(count))), dtype=object)
+
+
+def _rows(*fields: np.ndarray) -> list[str]:
+    """CSV rows from object arrays of str, broadcast together and joined with ","."""
+    return list(map(",".join, zip(*(f.ravel().tolist() for f in np.broadcast_arrays(*fields)))))
+
+
 def _write_lines(lines: list[str], path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if path is None:
@@ -103,8 +135,9 @@ def _range_count(lo: int, hi: int, log_spaced: bool) -> int:
 
 def _expand_range(lo: int, hi: int, log_spaced: bool) -> list[int]:
     if log_spaced and lo >= 1:
+        # Not np.unique: its first call imports numpy.ma, about 10 ms per process.
         grid = np.round(np.logspace(math.log10(lo), math.log10(hi), _range_count(lo, hi, True)))
-        return [int(v) for v in np.unique(grid)]
+        return sorted(set(map(int, grid.tolist())))
     return list(range(lo, hi + 1))
 
 
@@ -222,11 +255,15 @@ def cmd_spectrum(args) -> int:
     lifted = 16 * (N * N + necklace.K ** 2) if args.vectors_out is not None else 0
     _guard_memory(necklace.K, pearl.m, lifted)
     spec = full_spectrum(necklace, threads=args.threads)
-    k_index, n_index = spec.k_index.tolist(), spec.n_index.tolist()
-    rows = map("{},{},{:.15g}".format, k_index, n_index, spec.eigenvalues.tolist())
-    _write_lines(["k,n,lambda", *rows], args.output)
+    K, M = necklace.K, pearl.m
+    # Row K-k repeats row k bit for bit, so rows 0..K//2 are formatted and reused.
+    half = _format_column(spec.eigenvalues[: (K // 2 + 1) * M].reshape(-1, M))
+    mirror = np.minimum(np.arange(K), np.arange(K, 0, -1))           # min(k, K-k)
+    lines = _rows(_labels(K)[:, None], _labels(M), half[mirror])
+    _write_lines(["k,n,lambda", *lines], args.output)
     if args.vectors_out is not None:
         vectors = spec.vectors
+        k_index, n_index = spec.k_index.tolist(), spec.n_index.tolist()
         with open(args.vectors_out, "w", encoding="utf-8", newline="") as handle:
             # One record at a time, laid out as json.dump(records, indent=1) lays out the list.
             handle.write("[\n")
@@ -263,13 +300,13 @@ def cmd_limiting(args) -> int:
 
     # One row per vertex, in array order: pearl j outer, in-pearl m inner.
     K, M = necklace.K, pearl.m
-    columns = [np.repeat(np.arange(K), M).tolist(), list(range(M)) * K,
-               [pearl.vertex_kind(m) for m in range(1, M + 1)] * K, pi.tolist()]
-    header, row = "j,m,vertex_type,pi", "{},{},{},{:.15g}"
+    vertex = np.array([f"{m},{pearl.vertex_kind(m + 1)}" for m in range(M)], dtype=object)
+    fields = [_labels(K)[:, None], vertex, _format_column(pi.reshape(K, M))]
+    header = "j,m,vertex_type,pi"
     if closed is not None:
-        columns.append(closed.tolist())
-        header, row = header + ",pi_analytic", row + ",{:.15g}"
-    lines = [header, *map(row.format, *columns)]
+        fields.append(_format_column(closed.reshape(K, M)))
+        header += ",pi_analytic"
+    lines = [header, *_rows(*fields)]
     if closed is not None:
         lines.append(f"# max_abs_deviation = {_format(float(np.abs(pi - closed).max()))}")
     _write_lines(lines, args.output)
@@ -289,14 +326,14 @@ def cmd_mix(args) -> int:
     result = dynamics.mixing_time(
         spec, phi0, args.eps, args.T_hi, t_lo=args.T_lo, tau_deg=args.tau_deg
     )
-    grid = result.grid.tolist()
     # The bound scales exactly as 1/T.
-    columns = [grid, result.tv_values.tolist(), (result.bound_at_unit / result.grid).tolist()]
-    header, row = "T,tv_distance,tv_bound", "{:.15g},{:.15g},{:.15g}"
+    columns = [result.grid, result.tv_values, result.bound_at_unit / result.grid]
+    header = "T,tv_distance,tv_bound"
     if args.cos_bound_c is not None:
-        columns.append([mixing.mixing_bound_curve(args.cos_bound_c, K, t) for t in grid])
-        header, row = header + ",mixing_bound", row + ",{:.15g}"
-    lines = [header, *map(row.format, *columns)]
+        columns.append([mixing.mixing_bound_curve(args.cos_bound_c, K, t)
+                        for t in result.grid.tolist()])
+        header += ",mixing_bound"
+    lines = [header, *_rows(*map(_format_column, columns))]
     if result.found:
         lines.append(f"# T_mix(eps={_format(args.eps)}) = {_format(result.t_mix)}")
     else:
@@ -313,8 +350,8 @@ def cmd_gap_scan(args) -> int:
     k_list = _parse_int_list(args.K, log_spaced=not args.linear)
     _guard_memory(max(k_list), max(d_list) + 1)       # pearl d has d + 1 vertices (d = 0: cycle)
     records, slopes = mixing.gap_scan(d_list, k_list, threads=args.threads)
-    lines = ["d,K,min_gap"]
-    lines.extend("{},{},{:.15g}".format(r.d, r.K, r.min_gap) for r in records)
+    keys = np.array([f"{r.d},{r.K}" for r in records], dtype=object)
+    lines = ["d,K,min_gap", *_rows(keys, _format_column([r.min_gap for r in records]))]
     for d in d_list:
         slope = slopes[d]
         rendered = _format(slope) if not math.isnan(slope) else "nan"

@@ -69,18 +69,28 @@ def default_degeneracy_tolerance(eigenvalues: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class DegeneracyPartition:
-    """Grouping of eigenpair indices into (numerically) equal eigenvalues."""
+    """Grouping of eigenpair indices into (numerically) equal eigenvalues.
 
-    groups: list[np.ndarray]
+    Group g is ``members[bounds[g]:bounds[g + 1]]``.  ``members`` lists
+    every index once, groups in ascending eigenvalue order and each
+    group's members in ascending index order; ``bounds`` runs from 0 to
+    ``len(members)`` with one entry more than there are groups.
+    """
+
+    members: np.ndarray
+    bounds: np.ndarray
     tau_deg: float
     ambiguous: bool = field(default=False)
 
     @property
+    def groups(self) -> list[np.ndarray]:
+        b = self.bounds.tolist()
+        return [self.members[lo:hi] for lo, hi in zip(b, b[1:])]
+
+    @property
     def group_id(self) -> np.ndarray:
-        sizes = [len(g) for g in self.groups]
-        gid = np.empty(sum(sizes), dtype=int)
-        if self.groups:
-            gid[np.concatenate(self.groups)] = np.repeat(np.arange(len(sizes)), sizes)
+        gid = np.empty(len(self.members), dtype=int)
+        gid[self.members] = np.repeat(np.arange(len(self.bounds) - 1), np.diff(self.bounds))
         return gid
 
 
@@ -98,18 +108,18 @@ def degeneracy_partition(eigenvalues: np.ndarray, tau_deg: float) -> DegeneracyP
     steps = np.diff(eigenvalues[order])
     cuts = np.flatnonzero(steps > tau_deg) + 1
     ambiguous = bool(np.any(steps[cuts - 1] <= 10.0 * tau_deg))
-    bounds = [0, *cuts.tolist(), len(order)] if len(order) else [0]
+    bounds = np.array([0, *cuts.tolist(), len(order)] if len(order) else [0])
     sizes = np.diff(bounds)
     # Sorting by (group, index) puts each group's members in index order.
     members = order[np.lexsort((order, np.repeat(np.arange(len(sizes)), sizes)))]
-    groups = [members[a:b] for a, b in zip(bounds, bounds[1:])]
     if ambiguous:
         warnings.warn(
             "a spectral gap lies within 10x of tau_deg; degenerate groups "
             "may be merged or split unreliably",
             AmbiguousDegeneracyWarning,
         )
-    return DegeneracyPartition(groups=groups, tau_deg=tau_deg, ambiguous=ambiguous)
+    return DegeneracyPartition(members=members, bounds=bounds, tau_deg=tau_deg,
+                               ambiguous=ambiguous)
 
 
 def _check_state(phi0: np.ndarray, n: int) -> np.ndarray:
@@ -265,26 +275,30 @@ class _SectorAverager:
     def _same_group_sum(self) -> np.ndarray:
         """S_q over pairs inside one degenerate group, where G = 1.
 
-        Small groups list their pairs; a group with more than sqrt(K)
-        members, such as a flat band, is the circular autocorrelation over
-        k of its summed amplitudes, taken by FFT.
+        Groups of one size are gathered together, sizes in order of first
+        appearance along the sorted spectrum.  Small groups list their
+        pairs; a group with more than sqrt(K) members, such as a flat band,
+        is the circular autocorrelation over k of its summed amplitudes,
+        taken by FFT.
         """
         K, M = self.K, self.M
         amps = self.amps.reshape(K * M, M)
-        sector = np.repeat(np.arange(K), M)
+        members, bounds = self.partition.members, self.partition.bounds
+        sizes = np.diff(bounds)
+        by_size = np.argsort(sizes, kind="stable")      # each size's groups in spectrum order
+        buckets = np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1)
         s = np.zeros((K, M), dtype=complex)
-        by_size: dict[int, list[np.ndarray]] = {}
-        for group in self.partition.groups:
-            by_size.setdefault(len(group), []).append(group)
-        for size, groups in by_size.items():
-            idx = np.array(groups)                        # (groups, size)
+        for bucket in sorted(buckets, key=lambda b: b[0]):
+            size = int(sizes[bucket[0]])
+            idx = members[bounds[bucket][:, None] + np.arange(size)]     # (groups, size)
+            sector, a = idx // M, amps[idx]
             if size * size <= K:
-                q = (sector[idx][:, :, None] - sector[idx][:, None, :]) % K
-                terms = amps[idx][:, :, None, :] * amps[idx][:, None, :, :].conj()
+                q = (sector[:, :, None] - sector[:, None, :]) % K
+                terms = a[:, :, None, :] * a[:, None, :, :].conj()
                 np.add.at(s, q.ravel(), terms.reshape(-1, M))
             else:
-                z = np.zeros((len(groups), K, M), dtype=complex)
-                np.add.at(z, (np.arange(len(groups))[:, None], sector[idx]), amps[idx])
+                z = np.zeros((len(bucket), K, M), dtype=complex)
+                np.add.at(z, (np.arange(len(bucket))[:, None], sector), a)
                 s += np.fft.ifft(np.abs(np.fft.fft(z, axis=1)) ** 2, axis=1).sum(axis=0)
         return s[: self.half]
 

@@ -152,8 +152,8 @@ def gap_scan(
     """Scan minimum nonzero gaps over comb necklaces (d = 0 means plain cycle).
 
     Returns the per-(d, K) records in ``k_list`` order within each d,
-    duplicates included, and the fitted log-log slope per d (NaN when fewer
-    than two K values are given).
+    duplicates included, and the log-log slope per d fitted over its
+    distinct K values (NaN when there are fewer than two).
 
     K values in ``k_list`` that share an odd part form a doubling chain.
     Momentum ``2 pi k / K`` is the same float as ``2 pi (2k) / (2K)``,
@@ -200,9 +200,9 @@ def gap_scan(
     records = [found[d, k] for d in d_list for k in k_list]
     slopes: dict[int, float] = {}
     for d in d_list:
-        own = [r for r in records if r.d == d]
+        own = {r.K: r.min_gap for r in records if r.d == d}    # a repeated K is one point
         if len(own) >= 2:
-            slopes[d] = fit_loglog_slope([r.K for r in own], [r.min_gap for r in own])
+            slopes[d] = fit_loglog_slope(list(own), list(own.values()))
         else:
             slopes[d] = float("nan")
     return records, slopes

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from necklace_walks import (
     NecklaceSpec,
@@ -14,6 +16,7 @@ from necklace_walks import (
     comb1_limiting_distribution,
     full_spectrum,
     limiting_distribution,
+    load_pearl_file,
     make_comb_pearl,
     mixing_bound_curve,
     mixing_time,
@@ -485,32 +488,64 @@ class TestParserReuse:
         capsys.readouterr()
 
 
+PEARL_FILE = {"m": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 2], [1, 4]],
+              "root_in": 0, "root_out": 3}
+
+
+def spectrum_rows_by_row(pearl, K):
+    spec = full_spectrum(NecklaceSpec(pearl, K))
+    lines = ["k,n,lambda"] + [f"{spec.k_index[a]},{spec.n_index[a]},{spec.eigenvalues[a]:.15g}"
+                              for a in range(spec.size)]
+    return "\n".join(lines) + "\n"
+
+
+def limiting_rows_by_row(K):
+    neck = NecklaceSpec(make_comb_pearl(1), K)
+    pi = limiting_distribution(full_spectrum(neck), vertex_state(neck, 3, 2))
+    closed = comb1_limiting_distribution(K, "tooth", 3)
+    lines = ["j,m,vertex_type,pi,pi_analytic"]
+    for j in range(1, K + 1):
+        for m in range(1, 3):
+            idx = neck.flat_index(j, m)
+            lines.append(f"{j - 1},{m - 1},{neck.pearl.vertex_kind(m)},"
+                         f"{pi[idx]:.15g},{closed[idx]:.15g}")
+    lines.append(f"# max_abs_deviation = {np.abs(pi - closed).max():.15g}")
+    return "\n".join(lines) + "\n"
+
+
 class TestCsvRows:
     """The column-wise CSV writers against the per-row formatting they replaced."""
 
     def test_spectrum_rows(self, capsys):
         code, out, _ = run_cli(["spectrum", "--comb-d", "2", "--K", "7"], capsys)
         assert code == 0
-        spec = full_spectrum(NecklaceSpec(make_comb_pearl(2), 7))
-        expected = ["k,n,lambda"] + [
-            f"{spec.k_index[a]},{spec.n_index[a]},{spec.eigenvalues[a]:.15g}"
-            for a in range(spec.size)]
-        assert out.splitlines() == expected
+        assert out == spectrum_rows_by_row(make_comb_pearl(2), 7)
+
+    def test_spectrum_rows_even_k(self, capsys):
+        # Sector K/2 is its own mirror.
+        code, out, _ = run_cli(["spectrum", "--comb-d", "2", "--K", "8"], capsys)
+        assert code == 0
+        assert out == spectrum_rows_by_row(make_comb_pearl(2), 8)
+
+    @pytest.mark.parametrize("K", [7, 8])
+    def test_spectrum_rows_pearl_file(self, K, tmp_path, capsys):
+        path = tmp_path / "pearl.json"
+        path.write_text(json.dumps(PEARL_FILE))
+        code, out, _ = run_cli(["spectrum", "--pearl-file", str(path), "--K", str(K)], capsys)
+        assert code == 0
+        assert out == spectrum_rows_by_row(load_pearl_file(str(path)), K)
 
     def test_limiting_rows(self, capsys):
         argv = ["limiting", "--comb-d", "1", "--K", "7", "--start", "2,tooth", "--closed-form"]
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
-        neck = NecklaceSpec(make_comb_pearl(1), 7)
-        pi = limiting_distribution(full_spectrum(neck), vertex_state(neck, 3, 2))
-        closed = comb1_limiting_distribution(7, "tooth", 3)
-        expected = ["j,m,vertex_type,pi,pi_analytic"]
-        for j in range(1, 8):
-            for m in range(1, 3):
-                idx = neck.flat_index(j, m)
-                expected.append(f"{j - 1},{m - 1},{neck.pearl.vertex_kind(m)},"
-                                f"{pi[idx]:.15g},{closed[idx]:.15g}")
-        assert out.splitlines()[:-1] == expected
+        assert out == limiting_rows_by_row(7)
+
+    def test_limiting_rows_even_k(self, capsys):
+        argv = ["limiting", "--comb-d", "1", "--K", "8", "--start", "2,tooth", "--closed-form"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert out == limiting_rows_by_row(8)
 
     def test_mix_rows(self, capsys):
         argv = ["mix", "--comb-d", "1", "--K", "9", "--start", "4", "--eps", "0.2",
@@ -524,6 +559,51 @@ class TestCsvRows:
             f"{mixing_bound_curve(0.3, 9, t):.15g}"
             for i, t in enumerate(result.grid)]
         assert out.splitlines()[:-1] == expected
+
+
+class TestFormatColumn:
+    """Each distinct value formatted once gives the per-value formatting."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+               math.inf, -math.inf, math.nan, 1.0, 1.0 + 2.0 ** -52, -1.0, 0.1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_value_formatting(self, data):
+        pool = data.draw(st.lists(st.floats(allow_nan=True, allow_infinity=True)
+                                  | st.sampled_from(self.SPECIAL), min_size=1, max_size=8))
+        values = data.draw(st.lists(st.sampled_from(pool), max_size=60))
+        x = np.array(values, dtype=float)
+        got = cli._format_column(x)
+        assert got.shape == x.shape
+        assert got.tolist() == list(map("{:.15g}".format, x.tolist()))
+
+    def test_keeps_the_shape_and_every_nan_payload(self):
+        nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000],
+                        dtype=np.int64).view(float)
+        x = np.concatenate([nans, [0.0, -0.0, 0.0]]).reshape(2, 3)
+        assert cli._format_column(x).tolist() == [["nan", "nan", "nan"], ["0", "-0", "0"]]
+
+
+def test_commands_leave_numpy_ma_unloaded(tmp_path):
+    """No command pays the first-call import of numpy.ma (np.unique triggers it)."""
+    commands = [
+        ["spectrum", "--comb-d", "1", "--K", "8"],
+        ["limiting", "--comb-d", "1", "--K", "8", "--start", "1,tooth", "--closed-form"],
+        ["mix", "--comb-d", "2", "--K", "6", "--start", "0", "--eps", "0.2", "--T-hi", "50"],
+        ["gap-scan", "--d", "0,1,3", "--K", "16..64"],
+    ]
+    code = (
+        "import json, sys\n"
+        "from necklace_walks import cli\n"
+        "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    assert cli.main([*argv, '--output', f'{sys.argv[2]}/{i}.csv']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands), str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():

@@ -34,6 +34,8 @@ from necklace_walks import (
 )
 from necklace_walks.dynamics import _PairAverager, _SectorAverager
 
+from conftest import draw_connected_pearl
+
 
 def cycle_setup(K):
     neck = NecklaceSpec(make_cycle_pearl(), K)
@@ -377,6 +379,39 @@ def group_id_by_loop(groups):
     return gid
 
 
+def assert_layout_matches(part, groups):
+    """members lists the groups back to back; bounds marks where each starts and ends."""
+    assert part.bounds.tolist() == np.cumsum([0, *map(len, groups)]).tolist()
+    assert part.members.tolist() == [i for g in groups for i in g.tolist()]
+
+
+def same_group_sum_by_loop(averager):
+    """_SectorAverager._same_group_sum as a loop over groups, bucketed by size."""
+    K, M = averager.K, averager.M
+    amps = averager.amps.reshape(K * M, M)
+    sector = np.repeat(np.arange(K), M)
+    s = np.zeros((K, M), dtype=complex)
+    by_size = {}
+    for group in averager.partition.groups:
+        by_size.setdefault(len(group), []).append(group)
+    for size, groups in by_size.items():
+        idx = np.array(groups)
+        if size * size <= K:
+            q = (sector[idx][:, :, None] - sector[idx][:, None, :]) % K
+            terms = amps[idx][:, :, None, :] * amps[idx][:, None, :, :].conj()
+            np.add.at(s, q.ravel(), terms.reshape(-1, M))
+        else:
+            z = np.zeros((len(groups), K, M), dtype=complex)
+            np.add.at(z, (np.arange(len(groups))[:, None], sector[idx]), amps[idx])
+            s += np.fft.ifft(np.abs(np.fft.fft(z, axis=1)) ** 2, axis=1).sum(axis=0)
+    return s[: averager.half]
+
+
+def pendant_pair_pearl():
+    """Vertices 3 and 4 hang off vertex 2: e3 - e4 is a flat band at 0."""
+    return make_custom_pearl(4, [(1, 2), (2, 3), (2, 4)], root_in=1, root_out=2)
+
+
 class TestVectorizedPartition:
     # Steps between sorted values, in units of tau = 2^-10: ties, steps
     # inside a group, gaps of exactly tau and 10 tau, and genuine gaps.
@@ -402,6 +437,7 @@ class TestVectorizedPartition:
         warned = any(issubclass(w.category, AmbiguousDegeneracyWarning) for w in caught)
         assert warned == ambiguous
         assert np.array_equal(part.group_id, group_id_by_loop(groups))
+        assert_layout_matches(part, groups)
 
     def test_gap_of_exactly_tau_joins_and_ten_tau_is_ambiguous(self):
         tau = 2.0 ** -10
@@ -409,6 +445,33 @@ class TestVectorizedPartition:
             part = degeneracy_partition(np.array([0.0, tau, 11 * tau]), tau)
         assert [g.tolist() for g in part.groups] == [[0, 1], [2]]
         assert part.ambiguous
+
+    @pytest.mark.parametrize("pearl, K, start", [
+        (make_comb_pearl(2), 16, (5, 3)),     # flat band: one group of K > sqrt(K) members
+        (pendant_pair_pearl(), 12, (4, 3)),
+        (pendant_pair_pearl(), 9, (2, 1)),
+    ])
+    def test_same_group_sum_matches_the_group_loop(self, pearl, K, start):
+        neck = NecklaceSpec(pearl, K)
+        spec = full_spectrum(neck)
+        averager = _SectorAverager(spec, vertex_state(neck, *start), None)
+        sizes = np.diff(averager.partition.bounds)
+        assert sizes.max() ** 2 > K and sizes.min() ** 2 <= K     # both branches run
+        assert_layout_matches(averager.partition, averager.partition.groups)
+        assert np.array_equal(averager._same_group_sum(), same_group_sum_by_loop(averager))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_same_group_sum_matches_the_group_loop_on_drawn_pearls(self, data):
+        pearl = draw_connected_pearl(data)
+        K = data.draw(st.integers(3, 24), label="K")
+        neck = NecklaceSpec(pearl, K)
+        spec = full_spectrum(neck)
+        start = (data.draw(st.integers(1, K)), data.draw(st.integers(1, pearl.m)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AmbiguousDegeneracyWarning)
+            averager = _SectorAverager(spec, vertex_state(neck, *start), None)
+        assert np.array_equal(averager._same_group_sum(), same_group_sum_by_loop(averager))
 
 
 def custom_four_vertex_pearl():

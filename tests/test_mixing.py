@@ -1,6 +1,7 @@
 import math
 import threading
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -177,6 +178,18 @@ class TestGapScan:
         assert records[0].min_gap > 0
         assert math.isnan(slopes[15])
 
+    def test_repeated_k_has_no_slope(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records, slopes = gap_scan([1], [5, 5])
+        assert [r.K for r in records] == [5, 5]
+        assert math.isnan(slopes[1])
+
+    def test_repeats_do_not_weight_the_slope(self):
+        _, once = gap_scan([1], [16, 32, 64])
+        _, repeated = gap_scan([1], [16, 32, 64, 64, 16, 64])
+        assert repeated[1] == once[1]
+
     def test_records_ordered_and_thread_stable(self):
         a, _ = gap_scan([1, 3], [8, 16], threads=1)
         b, _ = gap_scan([1, 3], [8, 16], threads=4)
@@ -216,7 +229,7 @@ class TestGapScan:
         gap_scan([1, 3], [8, 16, 32], threads=4)
         assert threads == {threading.get_ident()}
 
-    @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
+    @pytest.mark.filterwarnings("error:Polyfit may be poorly conditioned")
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_chain_sharing_is_exact(self, data):
@@ -237,8 +250,9 @@ class TestGapScan:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mixing, "all_sector_eigenvalues", recording)
-            records, _ = gap_scan(d_list, k_list)
+            records, slopes = gap_scan(d_list, k_list)
 
+        assert all(math.isnan(slopes[d]) == (len(set(k_list)) < 2) for d in d_list)
         heads = {}
         for k in k_list:
             odd = k // (k & -k)
