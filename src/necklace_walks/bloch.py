@@ -88,14 +88,16 @@ def _lift(y: np.ndarray, k: np.ndarray, K: int) -> np.ndarray:
 
     ``y[s, :, c]`` is vector c of sector ``k[s]``.  Column (s, c) of the
     result, in that order, places ``exp(i p_k j) / sqrt(K) * y[s, :, c]``
-    on pearl j for j = 1..K.
+    on pearl j for j = 1..K.  The basis is filled one pearl at a time, so
+    the lift needs little more than the basis itself.
     """
-    _, M, C = y.shape
     p = 2.0 * np.pi * np.asarray(k) / K
-    phases = np.exp(1j * p[None, :] * np.arange(1, K + 1)[:, None])       # [j, s]
-    lifted = np.multiply(phases[:, None, :, None], y.transpose(1, 0, 2)[None], order="C")
+    y = np.ascontiguousarray(y.transpose(1, 0, 2))                     # [m, s, c]
+    lifted = np.empty((K,) + y.shape, dtype=complex)
+    for j in range(K):
+        np.multiply(np.exp(1j * p * (j + 1))[:, None], y, out=lifted[j])
     lifted /= math.sqrt(K)
-    return lifted.reshape(K * M, len(p) * C)
+    return lifted.reshape(K * len(y), -1)
 
 
 def lift_eigenvector(y: np.ndarray, k: int, K: int) -> np.ndarray:

@@ -250,9 +250,8 @@ def _add_common(parser: argparse.ArgumentParser, start: bool = False) -> None:
 def cmd_spectrum(args) -> int:
     pearl = _pearl_from_args(args)
     necklace = NecklaceSpec(pearl, _single_k(args))
-    N = necklace.n_vertices
-    # --vectors-out lifts the dense basis, built next to its K x K plane-wave phases.
-    lifted = 16 * (N * N + necklace.K ** 2) if args.vectors_out is not None else 0
+    # --vectors-out lifts the dense basis, filled in place pearl by pearl.
+    lifted = 16 * necklace.n_vertices ** 2 if args.vectors_out is not None else 0
     _guard_memory(necklace.K, pearl.m, lifted)
     spec = full_spectrum(necklace, threads=args.threads)
     K, M = necklace.K, pearl.m

@@ -1,11 +1,11 @@
 """Time evolution, time-averaged distributions and mixing of the walk.
 
-Everything here works on a :class:`~necklace_walks.bloch.FullSpectrum`.
-The instantaneous vertex distribution is
+Everything here works on a :class:`~necklace_walks.bloch.FullSpectrum` in
+Bloch form.  With c_kn = <psi_kn|phi_0>, the amplitude on vertex (j, m) is
 
-    p_x(t) = | sum_a exp(-i lambda_a t) <x|psi_a><psi_a|phi_0> |^2,
+    psi_(j,m)(t) = K^-1/2 sum_k exp(i p_k j) sum_n y_kn[m] exp(-i lambda_kn t) c_kn,
 
-its uniform average over [0, T] has the exact closed form
+one inverse FFT over k; p_x = |psi_x|^2 averaged over [0, T] has the exact closed form
 
     pbar_x(T) = sum_{a,b} <x|psi_a><psi_a|phi_0><psi_b|x><phi_0|psi_b>
                 * G(lambda_a - lambda_b, T),
@@ -149,14 +149,26 @@ def _finalize_distribution(p: np.ndarray) -> np.ndarray:
     return p
 
 
+def _sector_overlaps(spec: FullSpectrum, phi: np.ndarray) -> np.ndarray:
+    """c_kn = <psi_kn|phi_0> as [k, n], from phi_k[m] = sum_j exp(-i p_k j) phi_0[j, m]."""
+    K, M = spec.necklace.K, spec.necklace.pearl.m
+    phi_k = np.exp(-2j * np.pi * np.arange(K) / K)[:, None] * np.fft.fft(
+        phi.reshape(K, M), axis=0)
+    return np.einsum("kmn,km->kn", spec.sector_vectors.conj(), phi_k) / math.sqrt(K)
+
+
 def probability_at_time(spec: FullSpectrum, phi0: np.ndarray, t: float) -> np.ndarray:
-    """Vertex distribution p_x(t) of the walk started in ``phi0``."""
+    """Vertex distribution p_x(t) of the walk started in ``phi0``.
+
+    One inverse FFT over k of a_k[m] = sum_n y_kn[m] exp(-i lambda_kn t) c_kn; no dense basis.
+    """
     if not (math.isfinite(t) and t >= 0.0):
         raise InvalidParameterError(f"time must be finite and >= 0, got {t}")
-    phi = _check_state(phi0, spec.necklace.n_vertices)
-    overlaps = spec.vectors.conj().T @ phi
-    amplitudes = spec.vectors @ (np.exp(-1j * spec.eigenvalues * t) * overlaps)
-    return _finalize_distribution(np.abs(amplitudes) ** 2)
+    c = _sector_overlaps(spec, _check_state(phi0, spec.necklace.n_vertices))
+    c *= np.exp(-1j * spec.eigenvalues * t).reshape(c.shape)
+    a = np.einsum("kmn,kn->km", spec.sector_vectors, c)
+    psi = np.roll(np.fft.ifft(a, axis=0), -1, axis=0) * math.sqrt(len(a))   # row 0 is pearl 1
+    return _finalize_distribution(np.abs(psi.ravel()) ** 2)
 
 
 class _PairAverager:
@@ -254,12 +266,8 @@ class _SectorAverager:
             raise InvalidParameterError("sector K-k must repeat the eigenvalues of sector k")
         self.gid = self.partition.group_id.reshape(K, M)
         self.delta = self.NEAR_GAP_REL * max(float(np.abs(self.lam).max()), 1.0)
-        # sum_j exp(-i p_k j) phi_0[j, m] over pearls j = 1..K
-        phi_k = np.exp(-2j * np.pi * np.arange(K) / K)[:, None] * np.fft.fft(
-            phi.reshape(K, M), axis=0)
-        y = spec.sector_vectors
-        self.overlaps = np.einsum("kmn,km->kn", y.conj(), phi_k) / math.sqrt(K)
-        self.amps = (y * self.overlaps[:, None, :]).transpose(0, 2, 1)   # [k, n, m]
+        self.overlaps = _sector_overlaps(spec, phi)
+        self.amps = (spec.sector_vectors * self.overlaps[:, None]).transpose(0, 2, 1)   # [k, n, m]
         self._same = self._same_group_sum()
         self.limiting = _finalize_distribution(self._on_vertices(self._same))
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from necklace_walks import (
     sector_matrix,
     sector_spectrum,
 )
+from necklace_walks import bloch
 from necklace_walks.eig import fix_phases
 
 from conftest import draw_connected_pearl
@@ -106,6 +108,27 @@ class TestLift:
             psi = lift_eigenvector(s.vectors[:, n], k, K)
             assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.norm(h @ psi - s.eigenvalues[n] * psi) <= 1e-9
+
+    def test_matches_the_plane_wave_table_bit_for_bit(self, custom_pearl):
+        K = 7
+        y = full_spectrum(NecklaceSpec(custom_pearl, K)).sector_vectors
+        p = 2.0 * np.pi * np.arange(K) / K
+        phases = np.exp(1j * p[None, :] * np.arange(1, K + 1)[:, None])      # [j, k]
+        table = phases[:, None, :, None] * y.transpose(1, 0, 2)[None] / math.sqrt(K)
+        assert np.array_equal(bloch._lift(y, np.arange(K), K), table.reshape(K * 4, -1))
+
+    def test_peak_memory_is_the_basis(self):
+        # At M = 1 a K x K plane-wave table beside the basis would double the peak.
+        K = 1200
+        y = full_spectrum(NecklaceSpec(make_cycle_pearl(), K)).sector_vectors
+        tracemalloc.start()
+        try:
+            vectors = bloch._lift(y, np.arange(K), K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vectors.shape == (K, K)
+        assert peak <= 1.1 * 16 * K * K
 
 
 class TestFullSpectrum:

@@ -418,14 +418,14 @@ class TestMemoryGuard:
         assert code == 1
         assert "the 1 GiB of physical memory" in err
 
-    def test_vectors_out_counts_the_plane_wave_phases(self, no_solve, monkeypatch, tmp_path,
-                                                       capsys):
-        # The cycle at K = 2^20 lifts a 16 TiB basis next to 16 TiB of K x K
-        # phases; a 24 TiB machine has room for the basis alone.
+    def test_vectors_out_refuses_a_machine_short_of_the_basis(self, no_solve, monkeypatch,
+                                                              tmp_path, capsys):
+        # The cycle at K = 2^20 lifts a 16 TiB basis; the machine is one 1 MiB page short
+        # of it, and has room for the sector stack.
         K = 1 << 20
         monkeypatch.setattr(os, "sysconf",
-                            lambda name: 1 << 20 if name == "SC_PAGE_SIZE" else 24 << 20)
-        cli._guard_memory(K, 1, 16 * K * K)
+                            lambda name: 1 << 20 if name == "SC_PAGE_SIZE" else (16 << 20) - 1)
+        cli._guard_memory(K, 1)
         path = tmp_path / "v.json"
         code, out, err = run_cli(["spectrum", "--cycle", "--K", str(K), "--vectors-out",
                                   str(path)], capsys)

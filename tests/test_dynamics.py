@@ -111,6 +111,80 @@ class TestProbabilityAtTime:
                     ) < 1e-10
 
 
+def dense_probability(spec, phi, t):
+    """p(t) over the lifted basis: the dense reference for the Bloch-form route."""
+    overlaps = spec.vectors.conj().T @ phi
+    return np.abs(spec.vectors @ (np.exp(-1j * spec.eigenvalues * t) * overlaps)) ** 2
+
+
+EVOLUTION_TIMES = (0.0, 0.7, 1000.3)
+
+
+def random_state(rng, n):
+    phi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return phi / np.linalg.norm(phi)
+
+
+def assert_bloch_form_matches_dense(neck, phi):
+    spec = full_spectrum(neck)
+    for t in EVOLUTION_TIMES:
+        p = probability_at_time(spec, phi, t)
+        assert np.abs(p - dense_probability(spec, phi, t)).max() < 1e-12
+
+
+class TestBlochFormEvolution:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_dense_route_on_drawn_pearls(self, data):
+        pearl = draw_connected_pearl(data)
+        K = data.draw(st.integers(3, 16), label="K")
+        neck = NecklaceSpec(pearl, K)
+        if data.draw(st.booleans(), label="superposition"):
+            seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+            phi = random_state(np.random.default_rng(seed), neck.n_vertices)
+        else:
+            phi = vertex_state(neck, data.draw(st.integers(1, K)),
+                               data.draw(st.integers(1, pearl.m)))
+        assert_bloch_form_matches_dense(neck, phi)
+
+    @pytest.mark.parametrize("pearl", [
+        make_cycle_pearl(),                                         # M = 1
+        make_custom_pearl(1, [], root_in=1, root_out=1),
+        make_custom_pearl(3, [(1, 2), (2, 3)], root_in=2, root_out=2),   # single root
+        make_comb_pearl(2),
+    ], ids=["cycle", "one-vertex", "single-root", "comb-2"])
+    @pytest.mark.parametrize("K", [3, 8, 11])
+    def test_matches_the_dense_route(self, pearl, K, rng):
+        neck = NecklaceSpec(pearl, K)
+        assert_bloch_form_matches_dense(neck, vertex_state(neck, K, pearl.m))
+        assert_bloch_form_matches_dense(neck, random_state(rng, neck.n_vertices))
+
+    def test_never_lifts_the_basis(self, monkeypatch):
+        from necklace_walks import bloch
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense lifted basis was built")
+
+        monkeypatch.setattr(bloch, "_lift", refuse)
+        neck = NecklaceSpec(make_comb_pearl(2), 10)
+        p = probability_at_time(full_spectrum(neck), vertex_state(neck, 3, 2), 0.7)
+        assert abs(p.sum() - 1.0) < 1e-12
+
+    def test_peak_memory_at_large_k(self):
+        # The dense route's basis alone is 16 N^2 = 256 MiB here.
+        neck = NecklaceSpec(make_comb_pearl(1), 2048)
+        spec = full_spectrum(neck)
+        phi = vertex_state(neck, 1, 1)
+        tracemalloc.start()
+        try:
+            p = probability_at_time(spec, phi, 1000.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        assert abs(p.sum() - 1.0) < 1e-12
+
+
 class TestTimeAveraged:
     def test_eigenvector_start_time_independent(self):
         _, spec, _ = cycle_setup(6)
