@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eig import EigenDecomposition, eigh, fix_phases
+from .eig import eigh, fix_phases
 from .errors import InvalidParameterError, NumericalFailureError
 from .graphs import NecklaceSpec, PearlSpec
 from .parallel import resolve_thread_count
@@ -238,7 +238,6 @@ def comb2_closed_form(k: int, K: int) -> list[tuple[float, np.ndarray]]:
 
 
 __all__ = [
-    "EigenDecomposition",
     "FullSpectrum",
     "SectorSpectrum",
     "all_sector_eigenvalues",

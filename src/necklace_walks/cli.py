@@ -23,13 +23,11 @@ from .bloch import full_spectrum
 from .errors import NecklaceError
 from .graphs import (
     NecklaceSpec,
-    PearlSpec,
     assemble_hamiltonian,
     load_pearl_file,
     make_comb_pearl,
     make_cycle_pearl,
 )
-from .parallel import THREADS_ENV_VAR
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -89,28 +87,6 @@ def _write_lines(lines: list[str], path: str | None) -> None:
     else:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-
-
-def _pearl_from_args(args) -> PearlSpec:
-    """The pearl that exactly one of the pearl source flags names."""
-    chosen = [
-        name
-        for name, present in (
-            ("--cycle", args.cycle),
-            ("--comb-d", args.comb_d is not None),
-            ("--pearl-file", args.pearl_file is not None),
-        )
-        if present
-    ]
-    if len(chosen) != 1:
-        raise _ConfigError(
-            "exactly one pearl source required: --cycle, --comb-d D or --pearl-file PATH"
-        )
-    if args.cycle:
-        return make_cycle_pearl()
-    if args.comb_d is not None:
-        return make_comb_pearl(args.comb_d)
-    return load_pearl_file(args.pearl_file)
 
 
 # Most values a --K or --d list may expand to; checked before expanding.
@@ -201,14 +177,26 @@ def _parse_start(text: str, necklace: NecklaceSpec) -> tuple[int, int]:
     return j0 + 1, m0 + 1
 
 
-def _single_k(args) -> int:
+def _necklace_from_args(args) -> NecklaceSpec:
+    """The necklace of a single-K command: exactly one pearl source and one --K value."""
+    if args.cycle + (args.comb_d is not None) + (args.pearl_file is not None) != 1:
+        raise _ConfigError(
+            "exactly one pearl source required: --cycle, --comb-d D or --pearl-file PATH"
+        )
+    if args.cycle:
+        pearl = make_cycle_pearl()
+    elif args.comb_d is not None:
+        pearl = make_comb_pearl(args.comb_d)
+    else:
+        pearl = load_pearl_file(args.pearl_file)
     # Checked on the text: expanding a range first could exhaust memory.
     if ".." in args.K or "," in args.K:
         raise _ConfigError("this command takes a single --K value")
     try:
-        return int(args.K)
+        K = int(args.K)
     except ValueError as exc:
         raise _ConfigError(f"bad --K value {args.K!r}") from exc
+    return NecklaceSpec(pearl, K)
 
 
 def _guard_memory(K: int, M: int, extra: int = 0) -> None:
@@ -226,39 +214,44 @@ def _guard_memory(K: int, M: int, extra: int = 0) -> None:
                            f"the {limit / 2**30:.3g} GiB of physical memory")
 
 
-def _add_common(parser: argparse.ArgumentParser, start: bool = False) -> None:
+def _add_command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+    """Subcommand ``name`` with the --output and --threads that every command takes."""
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument("--output", default=None, metavar="PATH",
+                        help="output file (default: stdout)")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="kept for compatibility, must be >= 1 (default: 1); "
+                             "the result does not depend on it")
+    parser.set_defaults(func=func)
+    return parser
+
+
+def _add_necklace(parser: argparse.ArgumentParser, start: bool = False) -> None:
+    """The pearl source and single --K; with ``start``, also --start and --tau-deg."""
     parser.add_argument("--cycle", action="store_true", help="single-vertex pearl (plain cycle)")
     parser.add_argument("--comb-d", type=int, default=None, metavar="D",
                         help="comb pearl with tooth spacing D")
     parser.add_argument("--pearl-file", default=None, metavar="PATH",
                         help="JSON pearl description (0-based indices)")
     parser.add_argument("--K", required=True, help="pearl count")
-    parser.add_argument("--output", default=None, metavar="PATH",
-                        help="output file (default: stdout)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help=f"kept for compatibility, must be >= 1 (default: "
-                             f"${THREADS_ENV_VAR} or 1); the result does not depend on it")
-    parser.add_argument("--tau-deg", type=float, default=None,
-                        help="degeneracy tolerance, positive and finite (default: 1e-8 * "
-                             "max |lambda|; known too coarse for d=1 at K=16384 and for "
-                             "d>=3 from K=2048 (d=8), 2896 (d=5) and 4096 (d=3))")
     if start:
         parser.add_argument("--start", required=True,
                             help="start vertex: J | J,base | J,tooth | J,M (0-based)")
+        parser.add_argument("--tau-deg", type=float, default=None,
+                            help="degeneracy tolerance, positive and finite (default: 1e-8 * "
+                                 "max |lambda|; known too coarse for d=1 at K=16384 and for "
+                                 "d>=3 from K=2048 (d=8), 2896 (d=5) and 4096 (d=3))")
 
 
 def cmd_spectrum(args) -> int:
-    pearl = _pearl_from_args(args)
-    necklace = NecklaceSpec(pearl, _single_k(args))
+    necklace = _necklace_from_args(args)
+    K, M = necklace.K, necklace.pearl.m
     # --vectors-out lifts the dense basis, filled in place pearl by pearl.
     lifted = 16 * necklace.n_vertices ** 2 if args.vectors_out is not None else 0
-    _guard_memory(necklace.K, pearl.m, lifted)
+    _guard_memory(K, M, lifted)
     spec = full_spectrum(necklace, threads=args.threads)
-    K, M = necklace.K, pearl.m
-    # Row K-k repeats row k bit for bit, so rows 0..K//2 are formatted and reused.
-    half = _format_column(spec.eigenvalues[: (K // 2 + 1) * M].reshape(-1, M))
-    mirror = np.minimum(np.arange(K), np.arange(K, 0, -1))           # min(k, K-k)
-    lines = _rows(_labels(K)[:, None], _labels(M), half[mirror])
+    # Row K-k repeats row k bit for bit; _format_column formats each distinct value once.
+    lines = _rows(_labels(K)[:, None], _labels(M), _format_column(spec.sector_table()))
     _write_lines(["k,n,lambda", *lines], args.output)
     if args.vectors_out is not None:
         vectors = spec.vectors
@@ -281,8 +274,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_limiting(args) -> int:
-    pearl = _pearl_from_args(args)
-    necklace = NecklaceSpec(pearl, _single_k(args))
+    necklace = _necklace_from_args(args)
+    pearl = necklace.pearl
     j_start, m_start = _parse_start(args.start, necklace)
     _guard_memory(necklace.K, pearl.m)
     spec = full_spectrum(necklace, threads=args.threads)
@@ -313,12 +306,12 @@ def cmd_limiting(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    pearl = _pearl_from_args(args)
-    K = _single_k(args)
-    necklace = NecklaceSpec(pearl, K)
+    necklace = _necklace_from_args(args)
+    K = necklace.K
     j_start, m_start = _parse_start(args.start, necklace)
     points = len(dynamics.geometric_grid(args.T_lo, args.T_hi))
-    _guard_memory(K, pearl.m, dynamics.PAIR_CHUNK_BYTES + 40 * points * necklace.n_vertices)
+    _guard_memory(K, necklace.pearl.m,
+                  dynamics.PAIR_CHUNK_BYTES + 40 * points * necklace.n_vertices)
     spec = full_spectrum(necklace, threads=args.threads)
     phi0 = dynamics.vertex_state(necklace, j_start, m_start)
 
@@ -351,10 +344,7 @@ def cmd_gap_scan(args) -> int:
     records, slopes = mixing.gap_scan(d_list, k_list, threads=args.threads)
     keys = np.array([f"{r.d},{r.K}" for r in records], dtype=object)
     lines = ["d,K,min_gap", *_rows(keys, _format_column([r.min_gap for r in records]))]
-    for d in d_list:
-        slope = slopes[d]
-        rendered = _format(slope) if not math.isnan(slope) else "nan"
-        lines.append(f"# slope d={d} {rendered}")
+    lines += [f"# slope d={d} {_format(slopes[d])}" for d in d_list]   # NaN prints "nan"
     _write_lines(lines, args.output)
     return EXIT_OK
 
@@ -415,10 +405,10 @@ def _oracle_checks(necklace: NecklaceSpec, threads: int | None) -> dict:
 
 
 def cmd_oracle_check(args) -> int:
-    pearl = _pearl_from_args(args)
-    necklace = NecklaceSpec(pearl, _single_k(args))
-    if necklace.n_vertices > 2000:
-        raise _ConfigError(f"oracle-check caps at 2000 vertices, got {necklace.n_vertices}")
+    necklace = _necklace_from_args(args)
+    if necklace.n_vertices > oracle.EVOLVE_MAX_DIM:
+        raise _ConfigError(f"oracle-check caps at {oracle.EVOLVE_MAX_DIM} vertices, "
+                           f"got {necklace.n_vertices}")
     report = _oracle_checks(necklace, args.threads)
     _write_lines([json.dumps(report, indent=1, sort_keys=True)], args.output)
     return EXIT_OK if report["pass"] else EXIT_ORACLE
@@ -430,20 +420,19 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="necklace-walk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_spec = sub.add_parser("spectrum", help="sector-labeled eigenvalues as CSV")
-    _add_common(p_spec)
+    p_spec = _add_command(sub, "spectrum", cmd_spectrum, "sector-labeled eigenvalues as CSV")
+    _add_necklace(p_spec)
     p_spec.add_argument("--vectors-out", default=None, metavar="PATH",
                         help="also dump lifted eigenvectors as JSON")
-    p_spec.set_defaults(func=cmd_spectrum)
 
-    p_lim = sub.add_parser("limiting", help="limiting distribution from a vertex start")
-    _add_common(p_lim, start=True)
+    p_lim = _add_command(sub, "limiting", cmd_limiting,
+                         "limiting distribution from a vertex start")
+    _add_necklace(p_lim, start=True)
     p_lim.add_argument("--closed-form", action="store_true",
                        help="also emit analytic values (comb-d 1 only)")
-    p_lim.set_defaults(func=cmd_limiting)
 
-    p_mix = sub.add_parser("mix", help="total variation curve, bound and mixing time")
-    _add_common(p_mix, start=True)
+    p_mix = _add_command(sub, "mix", cmd_mix, "total variation curve, bound and mixing time")
+    _add_necklace(p_mix, start=True)
     p_mix.add_argument("--eps", type=float, required=True, help="precision parameter in (0, 2]")
     p_mix.add_argument("--T-hi", type=float, default=1e5, dest="T_hi",
                        help="top of the geometric time grid (default 1e5)")
@@ -451,22 +440,15 @@ def build_parser() -> _Parser:
                        help="bottom of the geometric time grid (default 1)")
     p_mix.add_argument("--cos-bound-c", type=float, default=None, metavar="C",
                        help="also emit the closed-form bound column for constant C")
-    p_mix.set_defaults(func=cmd_mix)
 
-    p_gap = sub.add_parser("gap-scan", help="minimum nonzero gap over (d, K) combs")
+    p_gap = _add_command(sub, "gap-scan", cmd_gap_scan, "minimum nonzero gap over (d, K) combs")
     p_gap.add_argument("--d", required=True, help="tooth spacings, e.g. 1,2,3 (0 = cycle)")
     p_gap.add_argument("--K", required=True, help="pearl counts, e.g. 16,32 or 16..256")
     p_gap.add_argument("--linear", action="store_true",
                        help="expand K ranges linearly (default: log-spaced)")
-    p_gap.add_argument("--output", default=None, metavar="PATH")
-    p_gap.add_argument("--threads", type=int, default=None,
-                       help=f"kept for compatibility, must be >= 1 (default: "
-                            f"${THREADS_ENV_VAR} or 1); the result does not depend on it")
-    p_gap.set_defaults(func=cmd_gap_scan)
 
-    p_orc = sub.add_parser("oracle-check", help="run all brute-force comparisons")
-    _add_common(p_orc)
-    p_orc.set_defaults(func=cmd_oracle_check)
+    _add_necklace(_add_command(sub, "oracle-check", cmd_oracle_check,
+                               "run all brute-force comparisons"))
 
     return parser
 

@@ -99,3 +99,6 @@ def eigh(matrix) -> EigenDecomposition:
         eigenvalues=np.asarray(values, dtype=float),
         eigenvectors=fix_phases(vectors),
     )
+
+
+__all__ = ["EigenDecomposition", "eigh"]

@@ -27,3 +27,14 @@ class DegenerateSpectrumError(NecklaceError, ValueError):
 
 class AmbiguousDegeneracyWarning(UserWarning):
     """The degeneracy tolerance is close to a genuine spectral gap."""
+
+
+__all__ = [
+    "AmbiguousDegeneracyWarning",
+    "DegenerateSpectrumError",
+    "InvalidMatrixError",
+    "InvalidParameterError",
+    "InvalidPearlError",
+    "NecklaceError",
+    "NumericalFailureError",
+]

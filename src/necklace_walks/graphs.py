@@ -14,7 +14,7 @@ converted at the boundary (see :func:`pearl_from_json` / :func:`pearl_to_json`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -132,22 +132,12 @@ def make_comb_pearl(d: int) -> PearlSpec:
         raise InvalidParameterError(f"tooth spacing d must be >= 1, got {d}")
     edges = [(m, m + 1) for m in range(1, d)]
     edges.append((1, d + 1))
-    pearl = make_custom_pearl(d + 1, edges, root_in=1, root_out=d)
-    return PearlSpec(
-        m=pearl.m,
-        edges=pearl.edges,
-        root_in=pearl.root_in,
-        root_out=pearl.root_out,
-        comb_spacing=d,
-    )
+    return replace(make_custom_pearl(d + 1, edges, root_in=1, root_out=d), comb_spacing=d)
 
 
 def make_cycle_pearl() -> PearlSpec:
     """Single-vertex pearl; K of them assemble into the plain K-cycle."""
-    pearl = make_custom_pearl(1, [], root_in=1, root_out=1)
-    return PearlSpec(
-        m=1, edges=pearl.edges, root_in=1, root_out=1, comb_spacing=0
-    )
+    return replace(make_custom_pearl(1, [], root_in=1, root_out=1), comb_spacing=0)
 
 
 def assemble_hamiltonian(necklace: NecklaceSpec) -> np.ndarray:
@@ -205,3 +195,16 @@ def load_pearl_file(path: str) -> PearlSpec:
         except json.JSONDecodeError as exc:
             raise InvalidPearlError(f"{path}: not valid JSON: {exc}") from exc
     return pearl_from_json(obj)
+
+
+__all__ = [
+    "NecklaceSpec",
+    "PearlSpec",
+    "assemble_hamiltonian",
+    "load_pearl_file",
+    "make_comb_pearl",
+    "make_custom_pearl",
+    "make_cycle_pearl",
+    "pearl_from_json",
+    "pearl_to_json",
+]

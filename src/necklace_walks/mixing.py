@@ -50,6 +50,15 @@ class CosBoundReport:
     tau_deg: float
 
 
+def _branch_table(spec: FullSpectrum, n: int, m: int) -> np.ndarray:
+    """The (K, M) sector table, once branch labels n and m are checked against M."""
+    table = spec.sector_table()
+    branches = table.shape[1]
+    if not (0 <= n < branches and 0 <= m < branches):
+        raise InvalidParameterError(f"branch labels ({n}, {m}) outside 0..{branches - 1}")
+    return table
+
+
 def _branch_ranges_disjoint(table: np.ndarray) -> bool:
     """True when the per-branch eigenvalue bands do not overlap."""
     lo = table.min(axis=0)
@@ -68,10 +77,7 @@ def cos_bound_constant(
     difference and the cos-momentum difference exceed ``tau_deg``, which
     drops degenerate pairs (sectors k and K-k) and identical sectors.
     """
-    table = spec.sector_table()
-    branches = table.shape[1]
-    if not (0 <= n < branches and 0 <= m < branches):
-        raise InvalidParameterError(f"branch labels ({n}, {m}) outside 0..{branches - 1}")
+    table = _branch_table(spec, n, m)
     if not _branch_ranges_disjoint(table):
         raise InvalidParameterError(
             "branch eigenvalue ranges overlap; ascending-order branch labels "
@@ -103,10 +109,7 @@ def cross_sector_min_gap(spec: FullSpectrum, n: int, m: int) -> float:
     """Minimum |lambda_{j,n} - lambda_{k,m}| over all sector pairs, for n != m."""
     if n == m:
         raise InvalidParameterError("branch labels must differ")
-    table = spec.sector_table()
-    branches = table.shape[1]
-    if not (0 <= n < branches and 0 <= m < branches):
-        raise InvalidParameterError(f"branch labels ({n}, {m}) outside 0..{branches - 1}")
+    table = _branch_table(spec, n, m)
     lam_n = table[:, n]
     lam_m = table[:, m]
     return float(np.abs(lam_n[:, None] - lam_m[None, :]).min())

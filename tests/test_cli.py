@@ -611,3 +611,48 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+class TestUnreadInputs:
+    """Inputs a command never reads are refused; an unread variable changes nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--comb-d", "1", "--K", "8", "--tau-deg", "1e-9"],
+        ["oracle-check", "--cycle", "--K", "5", "--tau-deg", "nan"],
+    ])
+    def test_tau_deg_is_refused_where_unread(self, argv, tmp_path, capsys):
+        path = tmp_path / "out.csv"
+        code, out, err = run_cli(argv + ["--output", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert not path.exists()
+        assert "--tau-deg" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--comb-d", "2", "--K", "9"],
+        ["gap-scan", "--d", "0,1", "--K", "16..64"],
+    ])
+    @pytest.mark.parametrize("value", ["0", "abc"])
+    def test_threads_variable_is_not_read(self, argv, value, monkeypatch, tmp_path, capsys):
+        monkeypatch.delenv("NECKLACE_WALKS_THREADS", raising=False)
+        assert main(argv + ["--output", str(tmp_path / "plain.csv")]) == 0
+        monkeypatch.setenv("NECKLACE_WALKS_THREADS", value)
+        assert main(argv + ["--output", str(tmp_path / "set.csv")]) == 0
+        assert (tmp_path / "set.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("K, refused", [("2001", True), ("2000", False)])
+    def test_oracle_check_cap_comes_before_the_dense_matrix(self, K, refused, monkeypatch,
+                                                            capsys):
+        def refuse(necklace):
+            raise AssertionError("the dense Hamiltonian was assembled")
+
+        monkeypatch.setattr(cli, "assemble_hamiltonian", refuse)
+        if not refused:       # at the cap the check passes and the oracle starts
+            with pytest.raises(AssertionError, match="dense Hamiltonian"):
+                main(["oracle-check", "--cycle", "--K", K])
+            return
+        code, out, err = run_cli(["oracle-check", "--cycle", "--K", K], capsys)
+        assert code == 1
+        assert out == ""
+        assert "oracle-check caps at 2000 vertices, got 2001" in err
