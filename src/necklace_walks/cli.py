@@ -20,7 +20,7 @@ import numpy as np
 
 from . import comb_analytics, dynamics, mixing, oracle
 from .bloch import full_spectrum
-from .errors import NecklaceError
+from .errors import NecklaceError, finite_above
 from .graphs import (
     NecklaceSpec,
     assemble_hamiltonian,
@@ -216,7 +216,7 @@ def _guard_memory(K: int, M: int, extra: int = 0) -> None:
 
 def _add_command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
     """Subcommand ``name`` with the --output and --threads that every command takes."""
-    parser = sub.add_parser(name, help=help)
+    parser = sub.add_parser(name, help=help, allow_abbrev=False)
     parser.add_argument("--output", default=None, metavar="PATH",
                         help="output file (default: stdout)")
     parser.add_argument("--threads", type=int, default=None,
@@ -310,6 +310,8 @@ def cmd_mix(args) -> int:
     K = necklace.K
     j_start, m_start = _parse_start(args.start, necklace)
     points = len(dynamics.geometric_grid(args.T_lo, args.T_hi))
+    if args.cos_bound_c is not None:                  # refused before the solve, not after it
+        finite_above(args.cos_bound_c, "--cos-bound-c")
     _guard_memory(K, necklace.pearl.m,
                   dynamics.PAIR_CHUNK_BYTES + 40 * points * necklace.n_vertices)
     spec = full_spectrum(necklace, threads=args.threads)
@@ -417,7 +419,7 @@ def cmd_oracle_check(args) -> int:
 @functools.cache
 def build_parser() -> _Parser:
     """The argument parser, built once per process; parsing leaves it unchanged."""
-    parser = _Parser(prog="necklace-walk", description=__doc__)
+    parser = _Parser(prog="necklace-walk", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_spec = _add_command(sub, "spectrum", cmd_spectrum, "sector-labeled eigenvalues as CSV")
@@ -439,7 +441,7 @@ def build_parser() -> _Parser:
     p_mix.add_argument("--T-lo", type=float, default=1.0, dest="T_lo",
                        help="bottom of the geometric time grid (default 1)")
     p_mix.add_argument("--cos-bound-c", type=float, default=None, metavar="C",
-                       help="also emit the closed-form bound column for constant C")
+                       help="also emit the closed-form bound column for C, positive and finite")
 
     p_gap = _add_command(sub, "gap-scan", cmd_gap_scan, "minimum nonzero gap over (d, K) combs")
     p_gap.add_argument("--d", required=True, help="tooth spacings, e.g. 1,2,3 (0 = cycle)")

@@ -80,10 +80,6 @@ class Comb1Coefficients:
     peak: int
     pearl_count: int
 
-    @property
-    def even(self) -> bool:
-        return self.pearl_count % 2 == 0
-
 
 def _sector_weights(K: int) -> np.ndarray:
     """L_k = 1 / (2 (1 + cos^2 p_k)) for k = 0..K-1."""
@@ -104,7 +100,7 @@ def comb1_coefficients(K: int, x: int, z: int) -> Comb1Coefficients:
     weights = _sector_weights(K)
     mean = float(weights.mean())
     phased = np.mean(weights * np.exp(1j * (2.0 * math.pi / K) * 2.0 * (x - z) * np.arange(K)))
-    if abs(phased.imag) > 1e-12:
+    if not abs(phased.imag) <= 1e-12:
         raise InvalidParameterError(
             f"offset weight has imaginary part {phased.imag:.3e}; "
             "pearl indices are inconsistent"

@@ -35,6 +35,7 @@ from .errors import (
     AmbiguousDegeneracyWarning,
     InvalidParameterError,
     NumericalFailureError,
+    finite_above,
 )
 from .graphs import NecklaceSpec
 
@@ -67,6 +68,12 @@ def default_degeneracy_tolerance(eigenvalues: np.ndarray) -> float:
     return 1e-8 * (scale if scale > 0.0 else 1.0)
 
 
+def resolve_tau_deg(eigenvalues: np.ndarray, tau_deg: float | None) -> float:
+    """``tau_deg``, or the default for ``eigenvalues`` when it is None; checked either way."""
+    tau = default_degeneracy_tolerance(eigenvalues) if tau_deg is None else tau_deg
+    return finite_above(tau, "tau_deg")
+
+
 @dataclass(frozen=True)
 class DegeneracyPartition:
     """Grouping of eigenpair indices into (numerically) equal eigenvalues.
@@ -94,16 +101,16 @@ class DegeneracyPartition:
         return gid
 
 
-def degeneracy_partition(eigenvalues: np.ndarray, tau_deg: float) -> DegeneracyPartition:
+def degeneracy_partition(eigenvalues: np.ndarray, tau_deg: float | None) -> DegeneracyPartition:
     """Partition eigenvalue indices by a sorted sweep with threshold ``tau_deg``.
 
-    Adjacent sorted values closer than ``tau_deg`` share a group.  If some
+    Adjacent sorted values closer than ``tau_deg`` share a group; None takes
+    :func:`default_degeneracy_tolerance`.  If some
     cross-group gap falls within a factor 10 of ``tau_deg`` the grouping is
     ambiguous: an :class:`AmbiguousDegeneracyWarning` is emitted and the
     partition is flagged.
     """
-    if not (math.isfinite(tau_deg) and tau_deg > 0.0):
-        raise InvalidParameterError(f"tau_deg must be positive and finite, got {tau_deg}")
+    tau_deg = resolve_tau_deg(eigenvalues, tau_deg)
     order = np.argsort(eigenvalues, kind="stable")
     steps = np.diff(eigenvalues[order])
     cuts = np.flatnonzero(steps > tau_deg) + 1
@@ -127,7 +134,7 @@ def _check_state(phi0: np.ndarray, n: int) -> np.ndarray:
     if phi.shape != (n,):
         raise InvalidParameterError(f"initial state has shape {phi.shape}, expected ({n},)")
     norm = np.linalg.norm(phi)
-    if abs(norm - 1.0) > STATE_NORM_TOL:
+    if not abs(norm - 1.0) <= STATE_NORM_TOL:
         raise InvalidParameterError(f"initial state norm {norm} is not 1 within {STATE_NORM_TOL}")
     return phi
 
@@ -162,8 +169,7 @@ def probability_at_time(spec: FullSpectrum, phi0: np.ndarray, t: float) -> np.nd
 
     One inverse FFT over k of a_k[m] = sum_n y_kn[m] exp(-i lambda_kn t) c_kn; no dense basis.
     """
-    if not (math.isfinite(t) and t >= 0.0):
-        raise InvalidParameterError(f"time must be finite and >= 0, got {t}")
+    finite_above(t, "time", or_equal=True)
     c = _sector_overlaps(spec, _check_state(phi0, spec.necklace.n_vertices))
     c *= np.exp(-1j * spec.eigenvalues * t).reshape(c.shape)
     a = np.einsum("kmn,kn->km", spec.sector_vectors, c)
@@ -184,8 +190,6 @@ class _PairAverager:
     def __init__(self, eigenvalues: np.ndarray, vectors: np.ndarray, phi0: np.ndarray,
                  tau_deg: float | None):
         phi = _check_state(phi0, len(vectors))
-        if tau_deg is None:
-            tau_deg = default_degeneracy_tolerance(eigenvalues)
         self.partition = degeneracy_partition(eigenvalues, tau_deg)
         self.overlaps = vectors.conj().T @ phi
         self.weights = vectors * self.overlaps[None, :]   # (N, A)
@@ -204,8 +208,7 @@ class _PairAverager:
         )
 
     def averaged(self, T: float) -> np.ndarray:
-        if T <= 0.0:
-            raise InvalidParameterError(f"averaging window must be positive, got {T}")
+        finite_above(T, "averaging window")
         kernel = np.where(
             self.same_group,
             1.0 + 0.0j,
@@ -217,9 +220,7 @@ class _PairAverager:
         return _finalize_distribution(pbar)
 
     def bound(self, T: float) -> float:
-        if T <= 0.0:
-            raise InvalidParameterError(f"averaging window must be positive, got {T}")
-        return 2.0 * self._bound_sum / T
+        return 2.0 * self._bound_sum / finite_above(T, "averaging window")
 
 
 class _SectorAverager:
@@ -257,8 +258,6 @@ class _SectorAverager:
     def __init__(self, spec: FullSpectrum, phi0: np.ndarray, tau_deg: float | None):
         K, M = spec.necklace.K, spec.necklace.pearl.m
         phi = _check_state(phi0, spec.necklace.n_vertices)
-        if tau_deg is None:
-            tau_deg = default_degeneracy_tolerance(spec.eigenvalues)
         self.partition = degeneracy_partition(spec.eigenvalues, tau_deg)
         self.K, self.M, self.half = K, M, K // 2 + 1
         self.lam = spec.eigenvalues.reshape(K, M)
@@ -491,9 +490,7 @@ class _SectorAverager:
         return self.averaged_grid(np.array([T]))[0]
 
     def bound(self, T: float) -> float:
-        if not (math.isfinite(T) and T > 0.0):
-            raise InvalidParameterError(f"averaging window must be positive and finite, got {T}")
-        return 2.0 * self._gap_sum / T
+        return 2.0 * self._gap_sum / finite_above(T, "averaging window")
 
 
 def time_averaged(
@@ -572,8 +569,7 @@ def geometric_grid(t_lo: float, t_hi: float, ratio: float = 1.05) -> np.ndarray:
     """Times t_lo * ratio^i up to and including the first point >= t_hi."""
     if not (math.isfinite(t_lo) and math.isfinite(t_hi)) or t_lo <= 0.0 or t_hi < t_lo:
         raise InvalidParameterError(f"bad grid limits ({t_lo}, {t_hi})")
-    if not ratio > 1.0:
-        raise InvalidParameterError(f"grid ratio must exceed 1, got {ratio}")
+    finite_above(ratio, "grid ratio", 1.0)
     count = max(0, math.ceil(math.log(t_hi / t_lo) / math.log(ratio)))
     return t_lo * ratio ** np.arange(count + 1)
 

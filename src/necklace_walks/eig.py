@@ -30,10 +30,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dimension(self) -> int:
-        return len(self.eigenvalues)
-
 
 def fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Return a copy of ``vectors`` with each column's phase anchored.
@@ -84,8 +80,10 @@ def eigh(matrix) -> EigenDecomposition:
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidMatrixError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvalidMatrixError("matrix has a non-finite entry")
     deviation = np.abs(a - a.conj().T).max() if a.size else 0.0
-    if deviation > HERMITICITY_TOL:
+    if not deviation <= HERMITICITY_TOL:
         raise InvalidMatrixError(
             f"matrix is not Hermitian: max |A - A^H| = {deviation:.3e} "
             f"exceeds {HERMITICITY_TOL:.1e}"

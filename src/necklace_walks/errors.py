@@ -1,4 +1,6 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the check on real inputs."""
+
+import math
 
 
 class NecklaceError(Exception):
@@ -27,6 +29,14 @@ class DegenerateSpectrumError(NecklaceError, ValueError):
 
 class AmbiguousDegeneracyWarning(UserWarning):
     """The degeneracy tolerance is close to a genuine spectral gap."""
+
+
+def finite_above(value: float, name: str, low: float = 0.0, or_equal: bool = False) -> float:
+    """``value`` if finite and above ``low`` (or equal); else InvalidParameterError, NaN too."""
+    if not (math.isfinite(value) and (value >= low if or_equal else value > low)):
+        relation = f">= {low:g}" if or_equal else "positive" if low == 0.0 else f"> {low:g}"
+        raise InvalidParameterError(f"{name} must be {relation} and finite, got {value}")
+    return value
 
 
 __all__ = [

@@ -20,14 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import FullSpectrum, all_sector_eigenvalues
-from .dynamics import default_degeneracy_tolerance
-from .errors import DegenerateSpectrumError, InvalidParameterError
+from .dynamics import default_degeneracy_tolerance, resolve_tau_deg
+from .errors import DegenerateSpectrumError, InvalidParameterError, finite_above
 from .graphs import NecklaceSpec, make_comb_pearl, make_cycle_pearl
 from .parallel import ordered_map, resolve_thread_count
 
 
 def min_nonzero_gap(eigenvalues: np.ndarray, tau_deg: float) -> float:
     """Smallest adjacent difference exceeding ``tau_deg`` in the sorted spectrum."""
+    finite_above(tau_deg, "tau_deg")
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     if len(eigenvalues) < 2:
         raise InvalidParameterError("need at least two eigenvalues")
@@ -83,8 +84,7 @@ def cos_bound_constant(
             "branch eigenvalue ranges overlap; ascending-order branch labels "
             "are unreliable for this pearl"
         )
-    if tau_deg is None:
-        tau_deg = default_degeneracy_tolerance(spec.eigenvalues)
+    tau_deg = resolve_tau_deg(spec.eigenvalues, tau_deg)
     cosines = np.cos(spec.momenta())
     lam_n = table[:, n]
     lam_m = table[:, m]
@@ -121,12 +121,9 @@ def mixing_bound_curve(c: float, K: float, T: float) -> float:
     Assumes the initial state overlaps all momentum sectors roughly
     uniformly, |<psi_k|phi_0>|^2 ~ 1/K.
     """
-    if c <= 0.0:
-        raise InvalidParameterError(f"gap constant c must be positive, got {c}")
-    if K < 3:
-        raise InvalidParameterError(f"K must be >= 3, got {K}")
-    if T <= 0.0:
-        raise InvalidParameterError(f"T must be positive, got {T}")
+    finite_above(c, "gap constant c")
+    finite_above(K, "K", 3.0, or_equal=True)
+    finite_above(T, "T")
     return (K / T) * math.log(K / 2.0) ** 2 / (8.0 * c)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .eig import EigenDecomposition, eigh
-from .errors import InvalidParameterError, NumericalFailureError
+from .errors import InvalidParameterError, NumericalFailureError, finite_above
 
 BRUTE_MAX_DIM = 5000
 EVOLVE_MAX_DIM = 2000
@@ -42,7 +42,7 @@ def _propagator(hamiltonian: np.ndarray, t: float) -> np.ndarray:
         )
     u = expm(-1j * h * t)
     drift = np.abs(u.conj().T @ u - np.eye(h.shape[0])).max()
-    if drift > UNITARITY_TOL:
+    if not drift <= UNITARITY_TOL:
         raise NumericalFailureError(
             f"propagator lost unitarity: max |U^H U - I| = {drift:.3e}"
         )
@@ -53,8 +53,7 @@ def evolve_matrix_exponential(
     hamiltonian: np.ndarray, phi0: np.ndarray, t: float
 ) -> np.ndarray:
     """|exp(-i H t) phi_0|^2, independently of any eigendecomposition."""
-    if t < 0.0:
-        raise InvalidParameterError(f"time must be >= 0, got {t}")
+    finite_above(t, "time", or_equal=True)
     phi = np.asarray(phi0, dtype=complex)
     return np.abs(_propagator(hamiltonian, t) @ phi) ** 2
 
@@ -68,8 +67,7 @@ def quadrature_time_average(
     propagator exp(-i H T / steps); discretization error is O((T/steps)^2)
     and roundoff accumulation stays near steps * machine epsilon.
     """
-    if T <= 0.0:
-        raise InvalidParameterError(f"averaging window must be positive, got {T}")
+    finite_above(T, "averaging window")
     if steps < 100:
         raise InvalidParameterError(f"need at least 100 quadrature steps, got {steps}")
     phi = np.asarray(phi0, dtype=complex)

@@ -131,6 +131,19 @@ class TestLimitingCommand:
         assert code == 1
         assert "start pearl" in err
 
+    @pytest.mark.parametrize("source, start, message", [
+        (["--comb-d", "1"], "x", "bad start pearl index in 'x'"),
+        (["--comb-d", "1"], "0,1,2", "bad start argument '0,1,2'"),
+        (["--cycle"], "0,tooth", "this pearl has no tooth vertex"),
+        (["--comb-d", "1"], "0,q", "bad start vertex 'q'"),
+        (["--comb-d", "1"], "0,5", "start vertex 5 outside 0..1"),
+    ])
+    def test_start_refusals(self, source, start, message, capsys):
+        code, out, err = run_cli(["limiting", *source, "--K", "8", "--start", start], capsys)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
 
 class TestMixCommand:
     def test_bound_dominates_and_reports_tmix(self, capsys):
@@ -145,6 +158,16 @@ class TestMixCommand:
             assert float(r[2]) >= float(r[1]) - 1e-12
         footer = out.strip().split("\n")[-1]
         assert footer.startswith("# T_mix(eps=0.1) = ")
+
+    def test_tmix_not_found_footer(self, capsys):
+        code, out, _ = run_cli(
+            ["mix", "--cycle", "--K", "16", "--start", "0", "--eps", "0.01",
+             "--T-hi", "2"], capsys
+        )
+        assert code == 0
+        rows, _ = csv_rows(out)
+        footer = out.strip().split("\n")[-1]
+        assert footer == f"# T_mix(eps=0.01) not found up to T_hi=2; tv at T_hi = {rows[-1][1]}"
 
     def test_eps_two_first_grid_point(self, capsys):
         code, out, _ = run_cli(
@@ -194,11 +217,17 @@ class TestGapScanCommand:
         assert len(rows) == 1
         assert float(rows[0][2]) > 0
 
+    def test_empty_range_exits_one(self, capsys):
+        code, out, err = run_cli(["gap-scan", "--d", "1", "--K", "9..3"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "empty range '9..3'" in err
+
 
 class TestOracleCheckCommand:
     @pytest.mark.parametrize(
         "source", [["--comb-d", "3", "--K", "5"], ["--cycle", "--K", "9"],
-                   ["--comb-d", "2", "--K", "6"]]
+                   ["--comb-d", "2", "--K", "6"], ["--comb-d", "1", "--K", "12"]]
     )
     def test_all_checks_pass(self, source, capsys):
         code, out, _ = run_cli(["oracle-check"] + source, capsys)
@@ -206,7 +235,7 @@ class TestOracleCheckCommand:
         report = json.loads(out)
         assert report["pass"]
         assert report["checks"]["spectrum_match"]["max_deviation"] <= 1e-9
-        if "--cycle" in source:
+        if "--cycle" in source or source[:2] == ["--comb-d", "1"]:
             assert "limiting_closed_form" in report["checks"]
 
     def test_cycle_k9_closed_form_check_present(self, capsys):
@@ -460,6 +489,30 @@ class TestNonFiniteValues:
         assert code == 1
         assert out == ""
         assert err.startswith("error: bad grid limits")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_cos_bound_c_exits_one_before_the_solve(self, value, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bad --cos-bound-c reached the spectrum solve")
+
+        monkeypatch.setattr(cli, "full_spectrum", refuse)
+        code, out, err = run_cli(["mix", "--comb-d", "1", "--K", "8", "--start", "0",
+                                  "--eps", "0.1", "--cos-bound-c", value], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --cos-bound-c must be positive and finite")
+
+
+class TestOptionNames:
+    @pytest.mark.parametrize("argv", [
+        ["limiting", "--comb-d", "1", "--K", "8", "--st", "0", "--tau", "1e-9"],
+        ["spectrum", "--cycle", "--K", "4", "--t", "3"],
+    ])
+    def test_only_full_option_names_are_accepted(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestParserReuse:

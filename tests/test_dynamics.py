@@ -329,6 +329,7 @@ class TestMixingTime:
         (math.nan, 10.0, 1.05),
         (1.0, math.nan, 1.05),
         (1.0, 10.0, math.nan),
+        (1.0, 10.0, math.inf),
     ])
     def test_grid_rejects_non_finite_values(self, t_lo, t_hi, ratio):
         with pytest.raises(InvalidParameterError):
