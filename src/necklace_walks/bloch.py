@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eig import eigh, fix_phases
+from .eig import EigenDecomposition, eigh, fix_phases
 from .errors import InvalidParameterError, NumericalFailureError
 from .graphs import NecklaceSpec, PearlSpec
 from .parallel import resolve_thread_count
@@ -55,32 +55,9 @@ def sector_matrix(pearl: PearlSpec, p_k) -> np.ndarray:
     return y
 
 
-@dataclass(frozen=True)
-class SectorSpectrum:
-    """Eigenpairs of one momentum sector.
-
-    ``eigenvalues`` ascending; column n of ``vectors`` is the unit sector
-    eigenvector for branch n, phase-fixed as in :mod:`necklace_walks.eig`.
-    """
-
-    k: int
-    pearl_count: int
-    momentum: float
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-
-
-def sector_spectrum(pearl: PearlSpec, k: int, K: int) -> SectorSpectrum:
+def sector_spectrum(pearl: PearlSpec, k: int, K: int) -> EigenDecomposition:
     """Diagonalize Y_k for sector k of a K-pearl necklace."""
-    p_k = momentum(k, K)
-    decomp = eigh(sector_matrix(pearl, p_k))
-    return SectorSpectrum(
-        k=k,
-        pearl_count=K,
-        momentum=p_k,
-        eigenvalues=decomp.eigenvalues,
-        vectors=decomp.eigenvectors,
-    )
+    return eigh(sector_matrix(pearl, momentum(k, K)))
 
 
 def _lift(y: np.ndarray, k: np.ndarray, K: int) -> np.ndarray:
@@ -98,17 +75,6 @@ def _lift(y: np.ndarray, k: np.ndarray, K: int) -> np.ndarray:
         np.multiply(np.exp(1j * p * (j + 1))[:, None], y, out=lifted[j])
     lifted /= math.sqrt(K)
     return lifted.reshape(K * len(y), -1)
-
-
-def lift_eigenvector(y: np.ndarray, k: int, K: int) -> np.ndarray:
-    """Lift a sector eigenvector to the full necklace.
-
-    The lifted vector places ``exp(i p_k j) / sqrt(K) * y`` on pearl j for
-    j = 1..K, giving a unit vector of length K * len(y).
-    """
-    momentum(k, K)   # rejects k outside 0..K-1
-    y = np.asarray(y, dtype=complex)
-    return _lift(y[None, :, None], np.array([k]), K)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -239,12 +205,10 @@ def comb2_closed_form(k: int, K: int) -> list[tuple[float, np.ndarray]]:
 
 __all__ = [
     "FullSpectrum",
-    "SectorSpectrum",
     "all_sector_eigenvalues",
     "comb1_closed_form",
     "comb2_closed_form",
     "full_spectrum",
-    "lift_eigenvector",
     "momentum",
     "sector_matrix",
     "sector_spectrum",

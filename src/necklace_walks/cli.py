@@ -277,6 +277,8 @@ def cmd_limiting(args) -> int:
     necklace = _necklace_from_args(args)
     pearl = necklace.pearl
     j_start, m_start = _parse_start(args.start, necklace)
+    if args.tau_deg is not None:                      # refused before the solve, not after it
+        finite_above(args.tau_deg, "tau_deg")
     _guard_memory(necklace.K, pearl.m)
     spec = full_spectrum(necklace, threads=args.threads)
     phi0 = dynamics.vertex_state(necklace, j_start, m_start)
@@ -310,7 +312,12 @@ def cmd_mix(args) -> int:
     K = necklace.K
     j_start, m_start = _parse_start(args.start, necklace)
     points = len(dynamics.geometric_grid(args.T_lo, args.T_hi))
-    if args.cos_bound_c is not None:                  # refused before the solve, not after it
+    # The library's checks of these values, made before the solve instead of after it.
+    if not 0.0 < args.eps <= 2.0:
+        raise _ConfigError(f"epsilon must lie in (0, 2], got {args.eps}")
+    if args.tau_deg is not None:
+        finite_above(args.tau_deg, "tau_deg")
+    if args.cos_bound_c is not None:
         finite_above(args.cos_bound_c, "--cos-bound-c")
     _guard_memory(K, necklace.pearl.m,
                   dynamics.PAIR_CHUNK_BYTES + 40 * points * necklace.n_vertices)

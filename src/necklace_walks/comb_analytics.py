@@ -78,7 +78,6 @@ class Comb1Coefficients:
     weight_at_offset: float
     parity_correction: float
     peak: int
-    pearl_count: int
 
 
 def _sector_weights(K: int) -> np.ndarray:
@@ -110,7 +109,6 @@ def comb1_coefficients(K: int, x: int, z: int) -> Comb1Coefficients:
         weight_at_offset=float(phased.real),
         parity_correction=_parity_corrections(K)[0],
         peak=_peak_indicator(K, x, z),
-        pearl_count=K,
     )
 
 
@@ -180,7 +178,6 @@ class Comb1HighK:
     set (even K), also on the pearl exactly opposite the start.
     """
 
-    pearl_count: int
     generic_base: float
     generic_tooth: float
     peak_base: float
@@ -203,7 +200,6 @@ def comb1_high_k(K: int) -> Comb1HighK:
     even = K % 2 == 0
     c, cross = _parity_corrections(K)
     return Comb1HighK(
-        pearl_count=K,
         generic_base=(1.0 - a - c) / K,
         generic_tooth=(a - cross) / K,
         peak_base=(2.0 - 2.0 * a - c) / K,

@@ -28,7 +28,7 @@ class EigenDecomposition:
     """Eigenvalues (ascending) and unit eigenvectors (columns) of a Hermitian matrix."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    vectors: np.ndarray
 
 
 def fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -95,7 +95,7 @@ def eigh(matrix) -> EigenDecomposition:
         raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
     return EigenDecomposition(
         eigenvalues=np.asarray(values, dtype=float),
-        eigenvectors=fix_phases(vectors),
+        vectors=fix_phases(vectors),
     )
 
 

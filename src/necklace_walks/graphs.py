@@ -8,7 +8,7 @@ of the next one, and the last pearl closes the ring back to the first.
 Vertices are labeled 1-based as (j, m) with pearl index j in 1..K and
 in-pearl index m in 1..M.  The row of vertex (j, m) in any array produced
 here is ``(j - 1) * M + (m - 1)``.  File formats use 0-based indices and are
-converted at the boundary (see :func:`pearl_from_json` / :func:`pearl_to_json`).
+converted at the boundary (see :func:`pearl_from_json`).
 """
 
 from __future__ import annotations
@@ -163,38 +163,25 @@ def assemble_hamiltonian(necklace: NecklaceSpec) -> np.ndarray:
     return h
 
 
-def pearl_to_json(pearl: PearlSpec) -> dict:
-    """Serializable dict with 0-based vertex indices."""
-    edges = sorted((a - 1, b - 1) for a, b in pearl.edges)
-    return {
-        "m": pearl.m,
-        "edges": [list(e) for e in edges],
-        "root_in": pearl.root_in - 1,
-        "root_out": pearl.root_out - 1,
-    }
-
-
 def pearl_from_json(obj: dict) -> PearlSpec:
-    """Inverse of :func:`pearl_to_json`; validates like make_custom_pearl."""
+    """Pearl from a dict with 0-based vertex indices; validates like make_custom_pearl."""
     try:
         m = int(obj["m"])
-        raw_edges = obj["edges"]
         root_in = int(obj["root_in"])
         root_out = int(obj["root_out"])
+        edges = [(int(a) + 1, int(b) + 1) for a, b in obj["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidPearlError(f"malformed pearl object: {exc}") from exc
-    edges = [(int(a) + 1, int(b) + 1) for a, b in raw_edges]
     return make_custom_pearl(m, edges, root_in + 1, root_out + 1)
 
 
 def load_pearl_file(path: str) -> PearlSpec:
-    """Read a pearl from a JSON file (0-based indices)."""
+    """Read a pearl from a JSON file (0-based indices); a refusal names the file."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InvalidPearlError(f"{path}: not valid JSON: {exc}") from exc
-    return pearl_from_json(obj)
+            return pearl_from_json(json.load(handle))
+        except ValueError as exc:       # a refused pearl, bad JSON, or bytes that are not UTF-8
+            raise InvalidPearlError(f"{path}: not a valid pearl file: {exc}") from exc
 
 
 __all__ = [
@@ -206,5 +193,4 @@ __all__ = [
     "make_custom_pearl",
     "make_cycle_pearl",
     "pearl_from_json",
-    "pearl_to_json",
 ]

@@ -45,7 +45,6 @@ def min_nonzero_gap(eigenvalues: np.ndarray, tau_deg: float) -> float:
 class CosBoundReport:
     """Measured constant relating eigenvalue gaps to cos-momentum gaps."""
 
-    branch_pair: tuple[int, int]
     c_measured: float
     pair_count: int
     tau_deg: float
@@ -98,7 +97,6 @@ def cos_bound_constant(
         )
     ratios = dlam[admissible] / dcos[admissible]
     return CosBoundReport(
-        branch_pair=(n, m),
         c_measured=float(ratios.min()),
         pair_count=count,
         tau_deg=tau_deg,

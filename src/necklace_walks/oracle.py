@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .eig import EigenDecomposition, eigh
-from .errors import InvalidParameterError, NumericalFailureError, finite_above
+from .errors import InvalidMatrixError, InvalidParameterError, NumericalFailureError, finite_above
 
 BRUTE_MAX_DIM = 5000
 EVOLVE_MAX_DIM = 2000
@@ -40,6 +40,8 @@ def _propagator(hamiltonian: np.ndarray, t: float) -> np.ndarray:
         raise InvalidParameterError(
             f"matrix dimension {h.shape[0]} exceeds evolution cap {EVOLVE_MAX_DIM}"
         )
+    if not np.isfinite(h).all():                  # before -1j * h * t warns on an inf
+        raise InvalidMatrixError("matrix has a non-finite entry")
     u = expm(-1j * h * t)
     drift = np.abs(u.conj().T @ u - np.eye(h.shape[0])).max()
     if not drift <= UNITARITY_TOL:

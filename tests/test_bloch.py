@@ -15,7 +15,6 @@ from necklace_walks import (
     comb1_closed_form,
     comb2_closed_form,
     full_spectrum,
-    lift_eigenvector,
     make_comb_pearl,
     make_custom_pearl,
     make_cycle_pearl,
@@ -84,16 +83,21 @@ class TestSectorSpectrum:
         assert np.abs(s.eigenvalues - [-np.sqrt(5), 0.0, np.sqrt(5)]).max() < 1e-12
 
 
+def lift(y, k, K):
+    """Sector vector ``y`` of sector k lifted to the necklace by ``bloch._lift``."""
+    return bloch._lift(np.asarray(y, dtype=complex)[None, :, None], np.array([k]), K)[:, 0]
+
+
 class TestLift:
     def test_zero_momentum_repeats(self):
         y = np.array([0.6, 0.8])
-        psi = lift_eigenvector(y, 0, 5)
+        psi = lift(y, 0, 5)
         expected = np.tile(y, 5) / np.sqrt(5)
         assert np.abs(psi - expected).max() < 1e-15
 
     def test_cycle_plane_wave(self):
         K, k = 6, 2
-        psi = lift_eigenvector(np.array([1.0]), k, K)
+        psi = lift(np.array([1.0]), k, K)
         p = 2 * math.pi * k / K
         expected = np.exp(1j * p * np.arange(1, K + 1)) / np.sqrt(K)
         assert np.abs(psi - expected).max() < 1e-14
@@ -105,7 +109,7 @@ class TestLift:
         h = assemble_hamiltonian(neck)
         s = sector_spectrum(pearl, k, K)
         for n in range(pearl.m):
-            psi = lift_eigenvector(s.vectors[:, n], k, K)
+            psi = lift(s.vectors[:, n], k, K)
             assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.norm(h @ psi - s.eigenvalues[n] * psi) <= 1e-9
 
@@ -332,7 +336,7 @@ class TestStackedSpectrum:
         assert spec.vectors is vectors                    # built once, then cached
         for a in range(spec.size):
             k, n = spec.k_index[a], spec.n_index[a]
-            lifted = lift_eigenvector(spec.sector_vectors[k][:, n], k, K)
+            lifted = lift(spec.sector_vectors[k][:, n], k, K)
             assert np.array_equal(vectors[:, a], lifted)
 
     @pytest.mark.parametrize("threads", [0, -1])

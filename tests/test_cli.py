@@ -31,6 +31,16 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Fail any run that reaches the sector solve."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused input reached the sector solve")
+
+    monkeypatch.setattr(bloch, "_solve_half", refuse)
+    monkeypatch.setattr(cli, "full_spectrum", refuse)
+
+
 def csv_rows(text):
     lines = [l for l in text.strip().split("\n") if not l.startswith("#")]
     return [line.split(",") for line in lines[1:]], lines[0]
@@ -63,6 +73,25 @@ class TestSpectrumCommand:
         code, _, err = run_cli(["spectrum", "--pearl-file", str(bad), "--K", "4"], capsys)
         assert code == 1
         assert "self-loop edge (2, 2)" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"m": 3, "edges": 5, "root_in": 0, "root_out": 1}', "malformed pearl object"),
+        ('{"m": 3, "edges": [[0, "x"]], "root_in": 0, "root_out": 1}',
+         "malformed pearl object"),
+        ('{"m": 3}', "malformed pearl object"),
+        ("[0, 1]", "malformed pearl object"),
+        ('{"m": 3, "edges": [[0, 1]', "Expecting"),
+        (b"\xff\xfe{}", "can't decode"),
+    ])
+    def test_unreadable_pearl_file_exits_one_naming_the_file(self, text, message, no_solve,
+                                                             tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
+        code, out, err = run_cli(["spectrum", "--pearl-file", str(bad), "--K", "4"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {bad}: not a valid pearl file: ")
+        assert message in err
 
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(["spectrum", "--cycle", "--comb-d", "1", "--K", "4"], capsys)
@@ -416,14 +445,6 @@ class TestRangeEnds:
 class TestMemoryGuard:
     HUGE_K = str(10**15)
 
-    @pytest.fixture
-    def no_solve(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a refused K reached the sector allocation")
-
-        monkeypatch.setattr(bloch, "_solve_half", refuse)
-        monkeypatch.setattr(cli, "full_spectrum", refuse)
-
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--comb-d", "1", "--K", HUGE_K],
         ["limiting", "--comb-d", "2", "--K", HUGE_K, "--start", "0"],
@@ -501,6 +522,22 @@ class TestNonFiniteValues:
         assert code == 1
         assert out == ""
         assert err.startswith("error: --cos-bound-c must be positive and finite")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["mix", "--eps", "nan"], "epsilon must lie in (0, 2], got nan"),
+        (["mix", "--eps", "3"], "epsilon must lie in (0, 2], got 3.0"),
+        (["mix", "--eps", "0"], "epsilon must lie in (0, 2], got 0.0"),
+        (["mix", "--eps", "0.1", "--tau-deg", "-1"], "tau_deg must be positive and finite"),
+        (["limiting", "--tau-deg", "nan"], "tau_deg must be positive and finite"),
+        (["limiting", "--tau-deg", "0"], "tau_deg must be positive and finite"),
+    ])
+    def test_eps_and_tau_deg_exit_one_before_the_solve(self, argv, message, no_solve, capsys):
+        command, *options = argv
+        code, out, err = run_cli([command, "--comb-d", "1", "--K", "8", "--start", "0",
+                                  *options], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message}")
 
 
 class TestOptionNames:

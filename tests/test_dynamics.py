@@ -230,6 +230,16 @@ class TestLimitingDistribution:
         assert np.abs(pi - expected).max() < 1e-12
         assert pi[0] == pytest.approx(2 / 9 - 1 / 81, abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [(7,), (9,), (8, 1)])
+    def test_start_state_of_wrong_shape_is_refused(self, shape):
+        _, spec, _ = cycle_setup(8)
+        phi = np.zeros(shape, dtype=complex)
+        phi.flat[0] = 1.0
+        for call in (lambda: limiting_distribution(spec, phi),
+                     lambda: probability_at_time(spec, phi, 1.0)):
+            with pytest.raises(InvalidParameterError, match=r"expected \(8,\)"):
+                call()
+
     def test_invariant_under_degenerate_basis_change(self, rng):
         neck = NecklaceSpec(make_comb_pearl(1), 8)
         spec = full_spectrum(neck)

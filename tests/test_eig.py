@@ -58,9 +58,9 @@ class TestEighInvariants:
         a = random_hermitian(rng, dim)
         dec = eigh(a)
         fro = np.linalg.norm(a)
-        residual = a @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues[None, :]
+        residual = a @ dec.vectors - dec.vectors * dec.eigenvalues[None, :]
         assert np.linalg.norm(residual, axis=0).max() <= 1e-10 * fro
-        gram = dec.eigenvectors.conj().T @ dec.eigenvectors
+        gram = dec.vectors.conj().T @ dec.vectors
         assert np.abs(gram - np.eye(dim)).max() <= 1e-10
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -88,7 +88,7 @@ class TestDeterminism:
     def test_phase_anchor_real_positive(self, rng):
         dec = eigh(random_hermitian(rng, 9))
         for col in range(9):
-            v = dec.eigenvectors[:, col]
+            v = dec.vectors[:, col]
             anchor = np.argmax(np.abs(v) >= np.abs(v).max() * (1 - 1e-6))
             assert v[anchor].real > 0
             assert abs(v[anchor].imag) < 1e-12
@@ -97,9 +97,9 @@ class TestDeterminism:
         a = random_hermitian(rng, 10)
         d1, d2 = eigh(a), eigh(a)
         assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
-        assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
+        assert np.array_equal(d1.vectors, d2.vectors)
 
     def test_real_symmetric_same_path(self):
         dec = eigh(np.array([[2.0, 1.0], [1.0, 0.0]]))
-        assert dec.eigenvectors.dtype == complex
-        assert np.abs(dec.eigenvectors.imag).max() < 1e-14
+        assert dec.vectors.dtype == complex
+        assert np.abs(dec.vectors.imag).max() < 1e-14

@@ -9,15 +9,15 @@ PUBLIC_NAMES = [
     "DegeneracyPartition", "DegenerateSpectrumError", "EigenDecomposition", "FullSpectrum",
     "GapScanRecord", "InvalidMatrixError", "InvalidParameterError", "InvalidPearlError",
     "MixingResult", "NecklaceError", "NecklaceSpec", "NumericalFailureError", "PearlSpec",
-    "SectorSpectrum", "all_sector_eigenvalues", "assemble_hamiltonian", "brute_spectrum",
+    "all_sector_eigenvalues", "assemble_hamiltonian", "brute_spectrum",
     "comb1_closed_form", "comb1_coefficients", "comb1_high_k", "comb1_limiting",
     "comb1_limiting_distribution", "comb2_closed_form", "cos_bound_constant",
     "cross_sector_min_gap", "cycle_limiting", "default_degeneracy_tolerance",
     "degeneracy_partition", "eigh", "evolve_matrix_exponential", "fit_loglog_slope",
-    "full_spectrum", "gap_scan", "geometric_grid", "lift_eigenvector",
+    "full_spectrum", "gap_scan", "geometric_grid",
     "limiting_distribution", "load_pearl_file", "make_comb_pearl", "make_custom_pearl",
     "make_cycle_pearl", "min_nonzero_gap", "mixing_bound_curve", "mixing_time", "momentum",
-    "pearl_from_json", "pearl_to_json", "probability_at_time", "quadrature_time_average",
+    "pearl_from_json", "probability_at_time", "quadrature_time_average",
     "sector_matrix", "sector_spectrum", "time_averaged", "tv_convergence_bound",
     "tv_distance", "vertex_state",
 ]
@@ -26,7 +26,7 @@ MODULES = ["bloch", "comb_analytics", "dynamics", "eig", "errors", "graphs", "mi
 
 
 def test_public_names_are_unchanged():
-    assert len(PUBLIC_NAMES) == 58
+    assert len(PUBLIC_NAMES) == 55
     assert sorted(necklace_walks.__all__) == sorted(PUBLIC_NAMES)
 
 

@@ -10,7 +10,6 @@ from necklace_walks import (
     InvalidMatrixError,
     InvalidParameterError,
     NecklaceSpec,
-    NumericalFailureError,
     assemble_hamiltonian,
     brute_spectrum,
     cos_bound_constant,
@@ -76,9 +75,10 @@ CASES = {
                     InvalidParameterError),
     "quadrature_window": (lambda v: quadrature_time_average(H, PHI, v, 100), POSITIVE,
                           InvalidParameterError),
-    # A NaN propagator fails the unitarity check instead of passing it.
-    "evolve_unitarity": (lambda v: evolve_matrix_exponential(with_entry(H, v), PHI, 1.0),
-                         [math.nan], NumericalFailureError),
+    "evolve_entry": (lambda v: evolve_matrix_exponential(with_entry(H, v), PHI, 1.0),
+                     NON_FINITE, InvalidMatrixError),
+    "quadrature_entry": (lambda v: quadrature_time_average(with_entry(H, v), PHI, 1.0, 100),
+                         NON_FINITE, InvalidMatrixError),
     "eigh_entry": (lambda v: eigh(with_entry(H, v)), NON_FINITE, InvalidMatrixError),
     "brute_entry": (lambda v: brute_spectrum(with_entry(H, v)), NON_FINITE, InvalidMatrixError),
 }

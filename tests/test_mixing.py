@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 import tracemalloc
@@ -91,6 +92,15 @@ class TestCosBoundConstant:
             report = cos_bound_constant(spec, n, n)
             assert report.c_measured >= 1 / math.sqrt(5) - 1e-12
             assert report.c_measured <= 0.5
+
+    def test_rejects_overlapping_branch_bands(self):
+        # Sector 0's lower eigenvalue moved 0.5 above the upper band's minimum.
+        spec = full_spectrum(NecklaceSpec(make_comb_pearl(1), 8))
+        table = spec.sector_table().copy()
+        table[0, 0] = table[:, 1].min() + 0.5
+        spec = dataclasses.replace(spec, eigenvalues=table.ravel())
+        with pytest.raises(InvalidParameterError, match="branch eigenvalue ranges overlap"):
+            cos_bound_constant(spec, 0, 0)
 
     def test_rejects_bad_branch(self):
         spec = full_spectrum(NecklaceSpec(make_cycle_pearl(), 8))

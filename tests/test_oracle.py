@@ -40,6 +40,10 @@ class TestBruteSpectrum:
 
 
 class TestMatrixExponentialEvolution:
+    def test_dimension_cap(self):
+        with pytest.raises(InvalidParameterError, match="exceeds evolution cap 2000"):
+            evolve_matrix_exponential(np.zeros((2001, 2001)), np.zeros(2001), 1.0)
+
     def test_zero_time(self):
         h = np.array([[0.0, 1.0], [1.0, 0.0]])
         phi = np.array([0.6, 0.8], dtype=complex)
@@ -65,7 +69,7 @@ class TestQuadratureAverage:
     def test_eigenvector_start(self):
         neck = NecklaceSpec(make_cycle_pearl(), 5)
         h = assemble_hamiltonian(neck)
-        vec = brute_spectrum(h).eigenvectors[:, 0]
+        vec = brute_spectrum(h).vectors[:, 0]
         for T in (5.0, 20.0):
             avg = quadrature_time_average(h, vec, T, 500)
             assert np.abs(avg - np.abs(vec) ** 2).max() < 1e-10
