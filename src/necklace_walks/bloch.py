@@ -26,7 +26,6 @@ import numpy as np
 from .eig import EigenDecomposition, eigh, fix_phases
 from .errors import InvalidParameterError, NumericalFailureError
 from .graphs import NecklaceSpec, PearlSpec
-from .parallel import resolve_thread_count
 
 
 def momentum(k: int, K: int) -> float:
@@ -139,16 +138,14 @@ def _mirror(half: np.ndarray, K: int) -> np.ndarray:
     return np.concatenate([half, half[1:(K + 1) // 2][::-1].conj()])
 
 
-def full_spectrum(necklace: NecklaceSpec, threads: int | None = None) -> FullSpectrum:
+def full_spectrum(necklace: NecklaceSpec) -> FullSpectrum:
     """Every labeled eigenpair of the necklace, in Bloch form.
 
     One stacked solve covers sectors k = 0..K//2; sector K-k takes the
     same eigenvalues and the conjugate vectors, so the k <-> K-k
     degeneracy is exact.  The dense lifted basis is built only when
-    ``vectors`` is read.  ``threads`` is validated; the output does not
-    depend on it.
+    ``vectors`` is read.
     """
-    resolve_thread_count(threads)
     K = necklace.K
     values, vectors = _solve_half(necklace.pearl, K, vectors=True)
     return FullSpectrum(
@@ -158,9 +155,8 @@ def full_spectrum(necklace: NecklaceSpec, threads: int | None = None) -> FullSpe
     )
 
 
-def all_sector_eigenvalues(necklace: NecklaceSpec, threads: int | None = None) -> np.ndarray:
+def all_sector_eigenvalues(necklace: NecklaceSpec) -> np.ndarray:
     """Sector eigenvalue table (K, M) from one stacked ``eigvalsh``, no vectors."""
-    resolve_thread_count(threads)
     return _mirror(_solve_half(necklace.pearl, necklace.K, vectors=False), necklace.K)
 
 

@@ -219,7 +219,7 @@ def _add_command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
     parser = sub.add_parser(name, help=help, allow_abbrev=False)
     parser.add_argument("--output", default=None, metavar="PATH",
                         help="output file (default: stdout)")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=int, default=1,
                         help="kept for compatibility, must be >= 1 (default: 1); "
                              "the result does not depend on it")
     parser.set_defaults(func=func)
@@ -249,7 +249,7 @@ def cmd_spectrum(args) -> int:
     # --vectors-out lifts the dense basis, filled in place pearl by pearl.
     lifted = 16 * necklace.n_vertices ** 2 if args.vectors_out is not None else 0
     _guard_memory(K, M, lifted)
-    spec = full_spectrum(necklace, threads=args.threads)
+    spec = full_spectrum(necklace)
     # Row K-k repeats row k bit for bit; _format_column formats each distinct value once.
     lines = _rows(_labels(K)[:, None], _labels(M), _format_column(spec.sector_table()))
     _write_lines(["k,n,lambda", *lines], args.output)
@@ -280,7 +280,7 @@ def cmd_limiting(args) -> int:
     if args.tau_deg is not None:                      # refused before the solve, not after it
         finite_above(args.tau_deg, "tau_deg")
     _guard_memory(necklace.K, pearl.m)
-    spec = full_spectrum(necklace, threads=args.threads)
+    spec = full_spectrum(necklace)
     phi0 = dynamics.vertex_state(necklace, j_start, m_start)
     pi = dynamics.limiting_distribution(spec, phi0, tau_deg=args.tau_deg)
 
@@ -321,7 +321,7 @@ def cmd_mix(args) -> int:
         finite_above(args.cos_bound_c, "--cos-bound-c")
     _guard_memory(K, necklace.pearl.m,
                   dynamics.PAIR_CHUNK_BYTES + 40 * points * necklace.n_vertices)
-    spec = full_spectrum(necklace, threads=args.threads)
+    spec = full_spectrum(necklace)
     phi0 = dynamics.vertex_state(necklace, j_start, m_start)
 
     result = dynamics.mixing_time(
@@ -350,7 +350,7 @@ def cmd_gap_scan(args) -> int:
     d_list = _parse_int_list(args.d, log_spaced=False)
     k_list = _parse_int_list(args.K, log_spaced=not args.linear)
     _guard_memory(max(k_list), max(d_list) + 1)       # pearl d has d + 1 vertices (d = 0: cycle)
-    records, slopes = mixing.gap_scan(d_list, k_list, threads=args.threads)
+    records, slopes = mixing.gap_scan(d_list, k_list)
     keys = np.array([f"{r.d},{r.K}" for r in records], dtype=object)
     lines = ["d,K,min_gap", *_rows(keys, _format_column([r.min_gap for r in records]))]
     lines += [f"# slope d={d} {_format(slopes[d])}" for d in d_list]   # NaN prints "nan"
@@ -358,10 +358,10 @@ def cmd_gap_scan(args) -> int:
     return EXIT_OK
 
 
-def _oracle_checks(necklace: NecklaceSpec, threads: int | None) -> dict:
+def _oracle_checks(necklace: NecklaceSpec) -> dict:
     """Run every brute-force comparison for one necklace; returns the report."""
     h = assemble_hamiltonian(necklace)
-    spec = full_spectrum(necklace, threads=threads)
+    spec = full_spectrum(necklace)
     checks: dict[str, dict] = {}
 
     def record(name: str, deviation: float, tolerance: float) -> None:
@@ -418,7 +418,7 @@ def cmd_oracle_check(args) -> int:
     if necklace.n_vertices > oracle.EVOLVE_MAX_DIM:
         raise _ConfigError(f"oracle-check caps at {oracle.EVOLVE_MAX_DIM} vertices, "
                            f"got {necklace.n_vertices}")
-    report = _oracle_checks(necklace, args.threads)
+    report = _oracle_checks(necklace)
     _write_lines([json.dumps(report, indent=1, sort_keys=True)], args.output)
     return EXIT_OK if report["pass"] else EXIT_ORACLE
 
@@ -466,6 +466,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads < 1:        # a compatibility flag, checked and otherwise unread
+            raise _ConfigError(f"thread count must be >= 1, got {args.threads}")
         return args.func(args)
     except (_ConfigError, NecklaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

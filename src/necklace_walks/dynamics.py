@@ -567,7 +567,7 @@ class MixingResult:
 
 def geometric_grid(t_lo: float, t_hi: float, ratio: float = 1.05) -> np.ndarray:
     """Times t_lo * ratio^i up to and including the first point >= t_hi."""
-    if not (math.isfinite(t_lo) and math.isfinite(t_hi)) or t_lo <= 0.0 or t_hi < t_lo:
+    if not (0.0 < t_lo <= t_hi and math.isfinite(t_hi / t_lo)):    # NaN fails too
         raise InvalidParameterError(f"bad grid limits ({t_lo}, {t_hi})")
     finite_above(ratio, "grid ratio", 1.0)
     count = max(0, math.ceil(math.log(t_hi / t_lo) / math.log(ratio)))

@@ -164,15 +164,23 @@ def assemble_hamiltonian(necklace: NecklaceSpec) -> np.ndarray:
 
 
 def pearl_from_json(obj: dict) -> PearlSpec:
-    """Pearl from a dict with 0-based vertex indices; validates like make_custom_pearl."""
+    """Pearl from a dict with 0-based vertex indices; validates like make_custom_pearl.
+
+    ``m``, the roots and every edge endpoint must be integers, never a
+    float, string or bool, and every edge must have exactly two endpoints.
+    """
     try:
-        m = int(obj["m"])
-        root_in = int(obj["root_in"])
-        root_out = int(obj["root_out"])
-        edges = [(int(a) + 1, int(b) + 1) for a, b in obj["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        m, root_in, root_out = obj["m"], obj["root_in"], obj["root_out"]
+        edges = [list(edge) for edge in obj["edges"]]
+    except (KeyError, TypeError) as exc:
         raise InvalidPearlError(f"malformed pearl object: {exc}") from exc
-    return make_custom_pearl(m, edges, root_in + 1, root_out + 1)
+    for edge in edges:
+        if len(edge) != 2:
+            raise InvalidPearlError(f"malformed pearl object: edge {edge} needs two endpoints")
+    for value in (m, root_in, root_out, *(v for edge in edges for v in edge)):
+        if type(value) is not int:
+            raise InvalidPearlError(f"malformed pearl object: {value!r} is not an integer")
+    return make_custom_pearl(m, [(a + 1, b + 1) for a, b in edges], root_in + 1, root_out + 1)
 
 
 def load_pearl_file(path: str) -> PearlSpec:

@@ -23,7 +23,7 @@ from .bloch import FullSpectrum, all_sector_eigenvalues
 from .dynamics import default_degeneracy_tolerance, resolve_tau_deg
 from .errors import DegenerateSpectrumError, InvalidParameterError, finite_above
 from .graphs import NecklaceSpec, make_comb_pearl, make_cycle_pearl
-from .parallel import ordered_map, resolve_thread_count
+from .parallel import ordered_map
 
 
 def min_nonzero_gap(eigenvalues: np.ndarray, tau_deg: float) -> float:
@@ -59,11 +59,11 @@ def _branch_table(spec: FullSpectrum, n: int, m: int) -> np.ndarray:
     return table
 
 
-def _branch_ranges_disjoint(table: np.ndarray) -> bool:
-    """True when the per-branch eigenvalue bands do not overlap."""
+def _branch_ranges_disjoint(table: np.ndarray, tau_deg: float) -> bool:
+    """True when no per-branch eigenvalue band reaches more than ``tau_deg`` into the next."""
     lo = table.min(axis=0)
     hi = table.max(axis=0)
-    return all(hi[n] <= lo[n + 1] for n in range(len(lo) - 1))
+    return all(hi[n] <= lo[n + 1] + tau_deg for n in range(len(lo) - 1))
 
 
 def cos_bound_constant(
@@ -73,17 +73,18 @@ def cos_bound_constant(
 
     Branch labels follow ascending order inside each sector, which is only
     meaningful when branches never cross; spectra whose branch bands
-    overlap are rejected.  Pairs are admissible when both the eigenvalue
-    difference and the cos-momentum difference exceed ``tau_deg``, which
-    drops degenerate pairs (sectors k and K-k) and identical sectors.
+    overlap by more than ``tau_deg`` are rejected.  Pairs are admissible
+    when both the eigenvalue difference and the cos-momentum difference
+    exceed ``tau_deg``, which drops degenerate pairs (sectors k and K-k)
+    and identical sectors.
     """
     table = _branch_table(spec, n, m)
-    if not _branch_ranges_disjoint(table):
+    tau_deg = resolve_tau_deg(spec.eigenvalues, tau_deg)
+    if not _branch_ranges_disjoint(table, tau_deg):
         raise InvalidParameterError(
             "branch eigenvalue ranges overlap; ascending-order branch labels "
             "are unreliable for this pearl"
         )
-    tau_deg = resolve_tau_deg(spec.eigenvalues, tau_deg)
     cosines = np.cos(spec.momenta())
     lam_n = table[:, n]
     lam_m = table[:, m]
@@ -144,9 +145,7 @@ def fit_loglog_slope(k_values, gap_values) -> float:
     return float(np.polyfit(np.log(k_values), np.log(gap_values), 1)[0])
 
 
-def gap_scan(
-    d_list, k_list, threads: int | None = None
-) -> tuple[list[GapScanRecord], dict[int, float]]:
+def gap_scan(d_list, k_list) -> tuple[list[GapScanRecord], dict[int, float]]:
     """Scan minimum nonzero gaps over comb necklaces (d = 0 means plain cycle).
 
     Returns the per-(d, K) records in ``k_list`` order within each d,
@@ -159,9 +158,7 @@ def gap_scan(
     sectors of 2K.  Each pearl therefore solves only the largest K of each
     chain, its head, and slices every other member's rows out of the
     head's table; the records are those of a solve per K.  Chains run one
-    at a time, so the peak memory is one head table.  ``threads`` is
-    validated; the chains run on the calling thread, since a thread pool
-    bought no wall time over one thread and cost extra CPU.
+    at a time, so the peak memory is one head table.
     """
     d_list = [int(d) for d in d_list]
     k_list = [int(k) for k in k_list]
@@ -171,8 +168,6 @@ def gap_scan(
     for k in k_list:
         if k < 3:
             raise InvalidParameterError(f"K must be >= 3, got {k}")
-
-    resolve_thread_count(threads)
 
     chains: dict[int, list[int]] = {}
     for k in dict.fromkeys(k_list):

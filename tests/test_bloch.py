@@ -191,13 +191,6 @@ class TestFullSpectrum:
         residual = h @ spec.vectors - spec.vectors * spec.eigenvalues[None, :]
         assert np.linalg.norm(residual, axis=0).max() <= 1e-9
 
-    def test_thread_count_does_not_change_output(self):
-        neck = NecklaceSpec(make_comb_pearl(2), 9)
-        a = full_spectrum(neck, threads=1)
-        b = full_spectrum(neck, threads=4)
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
-        assert np.array_equal(a.vectors, b.vectors)
-
 
 class TestComb1ClosedForm:
     def test_zero_sector(self):
@@ -338,11 +331,3 @@ class TestStackedSpectrum:
             k, n = spec.k_index[a], spec.n_index[a]
             lifted = lift(spec.sector_vectors[k][:, n], k, K)
             assert np.array_equal(vectors[:, a], lifted)
-
-    @pytest.mark.parametrize("threads", [0, -1])
-    def test_rejects_thread_count_below_one(self, threads):
-        neck = NecklaceSpec(make_comb_pearl(1), 8)
-        with pytest.raises(InvalidParameterError):
-            full_spectrum(neck, threads=threads)
-        with pytest.raises(InvalidParameterError):
-            all_sector_eigenvalues(neck, threads=threads)

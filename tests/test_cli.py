@@ -18,6 +18,7 @@ from necklace_walks import (
     limiting_distribution,
     load_pearl_file,
     make_comb_pearl,
+    mixing,
     mixing_bound_curve,
     mixing_time,
     vertex_state,
@@ -33,12 +34,13 @@ def run_cli(args, capsys):
 
 @pytest.fixture
 def no_solve(monkeypatch):
-    """Fail any run that reaches the sector solve."""
+    """Fail any run that reaches the sector solve or the gap scan."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a refused input reached the sector solve")
+        raise AssertionError("a refused input reached the sector solve or the gap scan")
 
     monkeypatch.setattr(bloch, "_solve_half", refuse)
     monkeypatch.setattr(cli, "full_spectrum", refuse)
+    monkeypatch.setattr(mixing, "gap_scan", refuse)
 
 
 def csv_rows(text):
@@ -82,6 +84,13 @@ class TestSpectrumCommand:
         ("[0, 1]", "malformed pearl object"),
         ('{"m": 3, "edges": [[0, 1]', "Expecting"),
         (b"\xff\xfe{}", "can't decode"),
+        ('{"m": 3.9, "edges": [[0, 1]], "root_in": 0, "root_out": 1}', "malformed pearl object"),
+        ('{"m": 3, "edges": [[0, 1]], "root_in": 0, "root_out": "1"}', "malformed pearl object"),
+        ('{"m": 3, "edges": [[0, 1]], "root_in": true, "root_out": 1}', "malformed pearl object"),
+        ('{"m": 3, "edges": [[0, 2.5]], "root_in": 0, "root_out": 1}', "malformed pearl object"),
+        ('{"m": 3, "edges": ["01"], "root_in": 0, "root_out": 1}', "malformed pearl object"),
+        ('{"m": 3, "edges": [[0, 1, 2]], "root_in": 0, "root_out": 1}',
+         "malformed pearl object"),
     ])
     def test_unreadable_pearl_file_exits_one_naming_the_file(self, text, message, no_solve,
                                                              tmp_path, capsys):
@@ -393,9 +402,10 @@ class TestInputValidation:
         ["oracle-check", "--cycle", "--K", "5"],
     ])
     @pytest.mark.parametrize("threads", ["0", "-1"])
-    def test_thread_count_below_one_exits_one(self, argv, threads, capsys):
-        code, _, err = run_cli(argv + ["--threads", threads], capsys)
+    def test_thread_count_below_one_exits_one(self, argv, threads, no_solve, capsys):
+        code, out, err = run_cli(argv + ["--threads", threads], capsys)
         assert code == 1
+        assert out == ""
         assert "thread count must be >= 1" in err
 
     @pytest.mark.parametrize("d_arg, k_arg, message", [
@@ -502,8 +512,10 @@ class TestNonFiniteValues:
         ["--T-hi", "inf"],
         ["--T-hi", "1e400"],
         ["--T-lo", "nan"],
+        ["--T-lo", "1e-300", "--T-hi", "1e300"],      # T_hi / T_lo overflows
+        ["--T-lo", "5e-324"],
     ])
-    def test_non_finite_grid_limits_exit_one(self, limits, capsys):
+    def test_non_finite_grid_limits_exit_one(self, limits, no_solve, capsys):
         code, out, err = run_cli(
             ["mix", "--cycle", "--K", "8", "--start", "0", "--eps", "0.1", *limits], capsys
         )

@@ -340,6 +340,8 @@ class TestMixingTime:
         (1.0, math.nan, 1.05),
         (1.0, 10.0, math.nan),
         (1.0, 10.0, math.inf),
+        (1e-300, 1e300, 1.05),          # t_hi / t_lo overflows
+        (5e-324, 1e5, 1.05),
     ])
     def test_grid_rejects_non_finite_values(self, t_lo, t_hi, ratio):
         with pytest.raises(InvalidParameterError):

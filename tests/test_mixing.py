@@ -24,6 +24,7 @@ from necklace_walks import (
     full_spectrum,
     gap_scan,
     make_comb_pearl,
+    make_custom_pearl,
     make_cycle_pearl,
     min_nonzero_gap,
     mixing_bound_curve,
@@ -101,6 +102,15 @@ class TestCosBoundConstant:
         spec = dataclasses.replace(spec, eigenvalues=table.ravel())
         with pytest.raises(InvalidParameterError, match="branch eigenvalue ranges overlap"):
             cos_bound_constant(spec, 0, 0)
+
+    def test_bands_touching_through_roundoff_are_disjoint(self):
+        # Star pearl: branch 1 tops out near 4e-16 and branch 2 starts at 0.0.
+        pearl = make_custom_pearl(4, [(1, 3), (2, 3), (3, 4)], 1, 3)
+        spec = full_spectrum(NecklaceSpec(pearl, 8))
+        table = spec.sector_table()
+        assert table[:, 1].max() > table[:, 2].min()
+        for n, m in ((0, 3), (0, 1), (2, 3)):
+            assert cos_bound_constant(spec, n, m).pair_count > 0
 
     def test_rejects_bad_branch(self):
         spec = full_spectrum(NecklaceSpec(make_cycle_pearl(), 8))
@@ -201,8 +211,8 @@ class TestGapScan:
         assert repeated[1] == once[1]
 
     def test_records_ordered_and_thread_stable(self):
-        a, _ = gap_scan([1, 3], [8, 16], threads=1)
-        b, _ = gap_scan([1, 3], [8, 16], threads=4)
+        a, _ = gap_scan([1, 3], [8, 16])
+        b, _ = gap_scan([1, 3], [8, 16])
         assert [(r.d, r.K) for r in a] == [(1, 8), (1, 16), (3, 8), (3, 16)]
         assert [(r.d, r.K, r.min_gap) for r in a] == [(r.d, r.K, r.min_gap) for r in b]
 
@@ -211,11 +221,6 @@ class TestGapScan:
             gap_scan([-1], [8])
         with pytest.raises(InvalidParameterError):
             gap_scan([1], [2])
-
-    @pytest.mark.parametrize("threads", [0, -1])
-    def test_rejects_thread_count_below_one(self, threads):
-        with pytest.raises(InvalidParameterError):
-            gap_scan([1], [8], threads=threads)
 
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
     def test_half_table_gives_the_full_table_records(self, d):
@@ -236,7 +241,7 @@ class TestGapScan:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(mixing, "all_sector_eigenvalues", recording)
-        gap_scan([1, 3], [8, 16, 32], threads=4)
+        gap_scan([1, 3], [8, 16, 32])
         assert threads == {threading.get_ident()}
 
     @pytest.mark.filterwarnings("error:Polyfit may be poorly conditioned")
