@@ -36,8 +36,11 @@ class PearlSpec:
     root_in, root_out : int
         Vertices carrying the links to the previous / next pearl.
     comb_spacing : int or None
-        Set to d for pearls built by :func:`make_comb_pearl`; None otherwise.
-        Used only for labeling vertices as base or tooth in reports.
+        d for pearls built by :func:`make_comb_pearl`, 0 for
+        :func:`make_cycle_pearl`, None for custom pearls.  It labels vertices
+        as base or tooth in reports, and a d >= 2 hint lets
+        :func:`necklace_walks.bloch.all_sector_eigenvalues` solve in real
+        arithmetic once the edges and roots are checked to be that comb's.
     """
 
     m: int

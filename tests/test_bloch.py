@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,6 +82,11 @@ class TestSectorSpectrum:
     def test_comb2_zero_sector(self):
         s = sector_spectrum(make_comb_pearl(2), 0, 6)
         assert np.abs(s.eigenvalues - [-np.sqrt(5), 0.0, np.sqrt(5)]).max() < 1e-12
+
+
+def comb(d):
+    """The d-comb pearl, or the cycle pearl at d = 0."""
+    return make_cycle_pearl() if d == 0 else make_comb_pearl(d)
 
 
 def lift(y, k, K):
@@ -262,17 +268,18 @@ def fix_phases_by_column(vectors, band=1e-6):
     return out
 
 
-def assert_matches_sector_spectra(pearl, K):
+def assert_matches_sector_spectra(pearl, K, sectors=None):
     """Stacked half-spectrum solve against one sector_spectrum per sector.
 
     Eigenvalues agree to 1e-12.  A simple sector eigenvalue has a unique
     phase-fixed vector, compared to 1e-9; a degenerate cluster compares
-    its eigenspace projector.
+    its eigenspace projector.  ``sectors`` limits the per-sector
+    comparison (default: every k); the stacked tables are compared whole.
     """
     spec = full_spectrum(NecklaceSpec(pearl, K))
     table = spec.sector_table()
     assert np.abs(all_sector_eigenvalues(NecklaceSpec(pearl, K)) - table).max() < 1e-12
-    for k in range(K):
+    for k in range(K) if sectors is None else sectors:
         ref = sector_spectrum(pearl, k, K)
         assert np.abs(table[k] - ref.eigenvalues).max() < 1e-12
         y, y_ref = spec.sector_vectors[k], ref.vectors
@@ -289,6 +296,18 @@ def assert_matches_sector_spectra(pearl, K):
             start = stop
 
 
+def assert_conjugate_rows_bitwise_equal(pearl, K):
+    """Rows k and K-k of both sector tables are equal bit for bit, vectors conjugate."""
+    neck = NecklaceSpec(pearl, K)
+    spec = full_spectrum(neck)
+    table, only_values = spec.sector_table(), all_sector_eigenvalues(neck)
+    for k in range(1, K):
+        assert np.array_equal(table[k], table[K - k])
+        assert np.array_equal(only_values[k], only_values[K - k])
+        if 2 * k != K:
+            assert np.array_equal(spec.sector_vectors[k], spec.sector_vectors[K - k].conj())
+
+
 class TestStackedSpectrum:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -296,16 +315,57 @@ class TestStackedSpectrum:
         pearl = draw_connected_pearl(data)
         assert_matches_sector_spectra(pearl, data.draw(st.integers(3, 40), label="K"))
 
+    @pytest.mark.parametrize("d", range(13))
+    @settings(max_examples=4, deadline=None)
+    @given(K=st.integers(3, 600))
+    def test_comb_pearls_match_sector_spectra(self, d, K):
+        assert_matches_sector_spectra(comb(d), K)
+
+    @pytest.mark.parametrize("d", range(13))
+    @pytest.mark.parametrize("K", [4096, 11585])
+    def test_comb_pearls_match_sector_spectra_at_large_K(self, d, K):
+        sectors = sorted({*range(0, K, 257), 1, K // 2, K // 2 + 1, K - 1})
+        assert_matches_sector_spectra(comb(d), K, sectors)
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_pearl_with_comb_edges_but_no_hint_takes_the_complex_solve(self, d):
+        hinted = make_comb_pearl(d)
+        plain = make_custom_pearl(d + 1, hinted.edges, hinted.root_in, hinted.root_out)
+        assert plain == hinted and plain.comb_spacing is None
+        assert bloch._real_terms(plain) is None and bloch._real_terms(hinted) is not None
+        for K in (3, 8, 41, 600):
+            reference = all_sector_eigenvalues(NecklaceSpec(plain, K))
+            assert np.abs(all_sector_eigenvalues(NecklaceSpec(hinted, K)) - reference).max() < 1e-12
+
+    @pytest.mark.parametrize("pearl", [
+        replace(make_custom_pearl(4, [(1, 2), (1, 3), (1, 4)], 1, 3), comb_spacing=3),
+        replace(make_custom_pearl(4, [(1, 2), (2, 3), (1, 4)], 1, 4), comb_spacing=3),
+        replace(make_comb_pearl(3), comb_spacing=2),
+        replace(make_comb_pearl(3), comb_spacing=-1),
+    ])
+    def test_a_wrong_comb_hint_takes_the_complex_solve(self, pearl):
+        assert bloch._real_terms(pearl) is None
+        assert_matches_sector_spectra(pearl, 41)
+
+    @pytest.mark.parametrize("d, K", [(2, 16384), (8, 2048)])
+    def test_half_rows_split_into_ties_and_genuine_gaps(self, d, K):
+        # A tolerance at solver precision (ROADMAP item 1) needs every tie that
+        # symmetry forces within a few eps * max|lambda| and every genuine gap
+        # far above it.
+        values = all_sector_eigenvalues(NecklaceSpec(comb(d), K))[: K // 2 + 1].ravel()
+        scale = np.finfo(float).eps * np.abs(values).max()
+        diffs = np.diff(np.sort(values))
+        assert np.all((diffs <= 4 * scale) | (diffs >= 1e6 * scale))
+        assert np.any(diffs <= 4 * scale)
+
     @pytest.mark.parametrize("K", [3, 4, 7, 8, 41])
     def test_conjugate_sectors_are_bitwise_equal(self, custom_pearl, K):
-        neck = NecklaceSpec(custom_pearl, K)
-        spec = full_spectrum(neck)
-        table, only_values = spec.sector_table(), all_sector_eigenvalues(neck)
-        for k in range(1, K):
-            assert np.array_equal(table[k], table[K - k])
-            assert np.array_equal(only_values[k], only_values[K - k])
-            if 2 * k != K:
-                assert np.array_equal(spec.sector_vectors[k], spec.sector_vectors[K - k].conj())
+        assert_conjugate_rows_bitwise_equal(custom_pearl, K)
+
+    @pytest.mark.parametrize("d", range(13))
+    @pytest.mark.parametrize("K", [3, 4, 7, 8, 41, 600, 4096, 11585])
+    def test_comb_conjugate_sectors_are_bitwise_equal(self, d, K):
+        assert_conjugate_rows_bitwise_equal(comb(d), K)
 
     def test_stacked_phase_fix_equals_column_by_column(self, rng):
         stack = rng.normal(size=(6, 5, 5)) + 1j * rng.normal(size=(6, 5, 5))
