@@ -9,12 +9,13 @@ index k, the M x M sector matrix
 
 where P is the pearl adjacency and Q_k carries the inter-pearl links:
 corner phases exp(-i p_k) / exp(+i p_k) between the two roots, or a
-single 2 cos(p_k) diagonal entry when the roots coincide.  Y_{K-k} is
-the complex conjugate of Y_k, so only k = 0..K//2 are diagonalized, in one
-stacked solve.  When only eigenvalues are needed, single-root pearls and
-the d >= 2 combs are solved as real symmetric matrices with the same
-spectra (see :func:`_comb_terms`).  Sector eigenvectors are lifted back to
-the necklace by the plane-wave phases only when a dense basis is read.
+single 2 cos(p_k) diagonal entry when the roots coincide.  Every stack is
+built from one form, C0 + cos t C1 + sin t C2 (:func:`_sector_terms`).
+Y_{K-k} is the complex conjugate of Y_k, so only k = 0..K//2 are
+diagonalized, in one stacked solve.  For eigenvalues alone, a pearl whose
+graph is single-rooted or a d >= 2 comb is solved as a real symmetric
+stack with the same spectra.  Sector eigenvectors are lifted back to the
+necklace by the plane-wave phases only when a dense basis is read.
 """
 
 from __future__ import annotations
@@ -45,15 +46,7 @@ def sector_matrix(pearl: PearlSpec, p_k) -> np.ndarray:
     An array of momenta gives the stack of their sector matrices, of shape
     ``p_k.shape + (M, M)``.
     """
-    p = np.asarray(p_k, dtype=float)
-    y = np.broadcast_to(pearl.adjacency(), p.shape + (pearl.m, pearl.m)).astype(complex)
-    ri, ro = pearl.root_in - 1, pearl.root_out - 1
-    if pearl.single_root:
-        y[..., ri, ri] += 2.0 * np.cos(p)
-    else:
-        y[..., ri, ro] += np.exp(-1j * p)
-        y[..., ro, ri] += np.exp(+1j * p)
-    return y
+    return _stack(*_sector_terms(pearl, False), np.asarray(p_k, dtype=float))
 
 
 def sector_spectrum(pearl: PearlSpec, k: int, K: int) -> EigenDecomposition:
@@ -126,78 +119,62 @@ class FullSpectrum:
         return np.sort(self.eigenvalues)
 
 
-@functools.lru_cache(maxsize=1)     # gap_scan solves every chain of one pearl before the next
-def _comb_terms(pearl: PearlSpec) -> np.ndarray:
-    """Real (C0, C1, C2) of a d-comb pearl (d >= 2), stacked to shape (3, M, M).
+@functools.lru_cache(maxsize=2)     # both forms of one pearl; gap_scan takes one pearl at a time
+def _sector_terms(pearl: PearlSpec, real: bool):
+    """(C0, C1, C2) and n with Y_k similar to C0 + cos t C1 + sin t C2, t = p_k / n.
 
-    Number the ring vertices 1..d as j = 0..d-1.  With t = p_k / d, the
-    gauge G = diag(exp(i t j)) (1 on the tooth) turns Y_k into G^H Y_k G,
-    where every hop j -> j+1 round the d-ring, the link d -> 1 included,
-    carries the phase exp(i t).  The ring reflection j -> -j, which fixes
-    vertex 1 and the tooth, composed with complex conjugation commutes with
-    that matrix, so it is real in the basis the reflection fixes: e_1, the
-    tooth, e_{1+d/2} for even d, (e_j + e_{d-j}) / sqrt 2 and
-    i (e_j - e_{d-j}) / sqrt 2.  There it reads C0 + cos t C1 + sin t C2.
-    The cached array is read-only, since every caller shares it.
+    F holds the hops that carry the phase exp(i t): the out-root ->
+    next-in-root link L, plus any in-pearl hops H a gauge gives it.  Then
+    C0 = P - H - H^T, C1 = F + F^T and C2 = i (F - F^T).  The complex form
+    (F = L, n = 1) is Y_k itself.
+
+    The real form needs a real vertex involution R with R Y R = conj(Y).
+    Then U = exp(-i pi/4) (I + i R) / sqrt 2 has conj(U) = R U, so each
+    U^H C U = Re C + (R Im C - Im C R) / 2 is real, and exact, as R
+    permutes.  A single-root pearl takes R = I and keeps its terms.  The
+    d-comb (d >= 2), ring vertices j = 0..d-1 then the tooth, takes the
+    gauge diag(exp(i t j)) (1 on the tooth) with n = d, so each hop j ->
+    j+1 round the d-ring, the link included, carries exp(i t); R is the
+    ring reflection j -> -j.  The graph alone picks the route: any other
+    pearl gives None.  The cached arrays are read-only, as callers share them.
     """
-    m, d = pearl.m, pearl.m - 1
-    adjacency = pearl.adjacency()
-    ring = np.append(np.arange(d), 0)                  # the tooth sits with vertex 1
-    step = ring[None, :] - ring[:, None]
-    forward = np.where(step == 1, adjacency, 0.0)      # in-pearl hops j -> j+1
+    m, n = pearl.m, 1
+    hops, reflect = np.zeros((m, m)), np.arange(m)
+    if real and not pearl.single_root:
+        if pearl != make_comb_pearl(m - 1):
+            return None
+        n = m - 1
+        hops[np.arange(n - 1), np.arange(1, n)] = 1.0          # j -> j+1 along the ring
+        reflect = np.append(-np.arange(n) % n, n)
+    forward = hops.copy()
     forward[pearl.root_out - 1, pearl.root_in - 1] += 1.0
-    hermitian = np.stack([np.where(step == 0, adjacency, 0.0),
-                          forward + forward.T, 1j * (forward - forward.T)])
-    basis = np.zeros((m, m), dtype=complex)
-    basis[0, 0] = basis[d, 1] = 1.0
-    column = 2
-    for j in range(1, d // 2 + 1):
-        if 2 * j == d:
-            basis[j, column] = 1.0
-            column += 1
-        else:
-            basis[[j, d - j], column] = math.sqrt(0.5)
-            basis[[j, d - j], column + 1] = [1j * math.sqrt(0.5), -1j * math.sqrt(0.5)]
-            column += 2
-    terms = (basis.conj().T @ hermitian @ basis).real.copy()
+    terms = np.stack([pearl.adjacency() - hops - hops.T,
+                      forward + forward.T, 1j * (forward - forward.T)])
+    if real:
+        terms = terms.real + (terms.imag[:, reflect] - terms.imag[:, :, reflect]) / 2
     terms.setflags(write=False)
-    return terms
+    return terms, n
 
 
-def _real_terms(pearl: PearlSpec):
-    """Real (C0, C1, C2) and n with Y_k similar to C0 + cos t C1 + sin t C2, t = p_k / n.
-
-    Single-root pearls are real already (n = 1).  A pearl whose
-    ``comb_spacing`` names a d >= 2 comb takes :func:`_comb_terms` only when
-    its edges and roots are that comb's; every other pearl gives None.
-    """
-    if pearl.single_root:
-        terms = np.zeros((3, pearl.m, pearl.m))
-        terms[0] = pearl.adjacency()
-        terms[1, pearl.root_in - 1, pearl.root_in - 1] = 2.0
-        return terms, 1
-    d = pearl.comb_spacing
-    if isinstance(d, int) and 2 <= d == pearl.m - 1 and pearl == make_comb_pearl(d):
-        return _comb_terms(pearl), d
-    return None
+def _stack(terms: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
+    """C0 + cos t C1 + sin t C2 at t = p / n for every momentum p, shape ``p.shape + (M, M)``."""
+    c0, c1, c2 = terms
+    t = (p / n)[..., None, None]
+    y = np.cos(t) * c1
+    y += c0
+    y += np.sin(t) * c2
+    return y
 
 
 def _solve_half(pearl: PearlSpec, K: int, vectors: bool):
     """Stacked eigensolve of Y_k for k = 0..K//2 (``eigh`` or ``eigvalsh``).
 
-    Eigenvalues alone come from a real symmetric stack with the same
-    spectrum when :func:`_real_terms` finds one, else from the complex stack.
+    Eigenvalues alone come from the real form of :func:`_sector_terms`
+    when the pearl's graph has one, else from the complex stack.
     """
     p = 2.0 * np.pi * np.arange(K // 2 + 1) / K
-    real = None if vectors else _real_terms(pearl)
-    if real is None:
-        y = sector_matrix(pearl, p)
-    else:
-        (c0, c1, c2), n = real
-        t = (p / n)[:, None, None]
-        y = np.cos(t) * c1
-        y += c0
-        y += np.sin(t) * c2
+    real = None if vectors else _sector_terms(pearl, True)
+    y = sector_matrix(pearl, p) if real is None else _stack(*real, p)
     try:
         return np.linalg.eigh(y) if vectors else np.linalg.eigvalsh(y)
     except np.linalg.LinAlgError as exc:
@@ -229,12 +206,11 @@ def full_spectrum(necklace: NecklaceSpec) -> FullSpectrum:
 def all_sector_eigenvalues(necklace: NecklaceSpec) -> np.ndarray:
     """Sector eigenvalue table (K, M) from one stacked ``eigvalsh``, no vectors.
 
-    Single-root pearls, and pearls that are the d >= 2 comb their
-    ``comb_spacing`` names, solve a real symmetric stack with the same
-    spectra.  Their values differ from :func:`full_spectrum`'s in the last
-    digits, and ties that symmetry forces, exact there, hold to about
-    eps * max|lambda| here.  Every other pearl solves the complex Hermitian
-    stack.  Rows k and K-k are equal bit for bit either way.
+    A pearl whose graph is single-rooted or a d >= 2 comb solves a real
+    symmetric stack with the same spectra; its values differ from
+    :func:`full_spectrum`'s in the last digits, and the ties that symmetry
+    forces are exact.  Every other pearl solves the complex Hermitian stack.
+    Rows k and K-k are equal bit for bit either way.
     """
     return _mirror(_solve_half(necklace.pearl, necklace.K, vectors=False), necklace.K)
 

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -178,17 +179,15 @@ def _parse_start(text: str, necklace: NecklaceSpec) -> tuple[int, int]:
 
 
 def _necklace_from_args(args) -> NecklaceSpec:
-    """The necklace of a single-K command: exactly one pearl source and one --K value."""
+    """The necklace of a single-K command: exactly one pearl source and one --K value.
+
+    ``--K``, and the memory a ``--comb-d`` necklace needs, are checked before
+    the pearl is built: a comb pearl's d edges take memory of their own.
+    """
     if args.cycle + (args.comb_d is not None) + (args.pearl_file is not None) != 1:
         raise _ConfigError(
             "exactly one pearl source required: --cycle, --comb-d D or --pearl-file PATH"
         )
-    if args.cycle:
-        pearl = make_cycle_pearl()
-    elif args.comb_d is not None:
-        pearl = make_comb_pearl(args.comb_d)
-    else:
-        pearl = load_pearl_file(args.pearl_file)
     # Checked on the text: expanding a range first could exhaust memory.
     if ".." in args.K or "," in args.K:
         raise _ConfigError("this command takes a single --K value")
@@ -196,7 +195,14 @@ def _necklace_from_args(args) -> NecklaceSpec:
         K = int(args.K)
     except ValueError as exc:
         raise _ConfigError(f"bad --K value {args.K!r}") from exc
-    return NecklaceSpec(pearl, K)
+    necklace = NecklaceSpec(make_cycle_pearl(), K)      # refuses K < 3
+    if args.cycle:
+        return necklace
+    if args.pearl_file is not None:
+        return replace(necklace, pearl=load_pearl_file(args.pearl_file))
+    if args.comb_d >= 1:                                # make_comb_pearl refuses a smaller d
+        _guard_memory(K, args.comb_d + 1)
+    return replace(necklace, pearl=make_comb_pearl(args.comb_d))
 
 
 def _guard_memory(K: int, M: int, extra: int = 0) -> None:

@@ -37,10 +37,9 @@ class PearlSpec:
         Vertices carrying the links to the previous / next pearl.
     comb_spacing : int or None
         d for pearls built by :func:`make_comb_pearl`, 0 for
-        :func:`make_cycle_pearl`, None for custom pearls.  It labels vertices
-        as base or tooth in reports, and a d >= 2 hint lets
-        :func:`necklace_walks.bloch.all_sector_eigenvalues` solve in real
-        arithmetic once the edges and roots are checked to be that comb's.
+        :func:`make_cycle_pearl`, None for custom pearls.  A label only: it
+        names vertices base or tooth in reports and picks the closed forms;
+        no solve reads it.
     """
 
     m: int
@@ -191,7 +190,8 @@ def load_pearl_file(path: str) -> PearlSpec:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return pearl_from_json(json.load(handle))
-        except ValueError as exc:       # a refused pearl, bad JSON, or bytes that are not UTF-8
+        # A refused pearl, bad JSON, bytes that are not UTF-8, or nesting too deep to parse.
+        except (ValueError, RecursionError) as exc:
             raise InvalidPearlError(f"{path}: not a valid pearl file: {exc}") from exc
 
 

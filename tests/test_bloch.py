@@ -328,35 +328,41 @@ class TestStackedSpectrum:
         assert_matches_sector_spectra(comb(d), K, sectors)
 
     @pytest.mark.parametrize("d", range(2, 13))
-    def test_pearl_with_comb_edges_but_no_hint_takes_the_complex_solve(self, d):
-        hinted = make_comb_pearl(d)
-        plain = make_custom_pearl(d + 1, hinted.edges, hinted.root_in, hinted.root_out)
-        assert plain == hinted and plain.comb_spacing is None
-        assert bloch._real_terms(plain) is None and bloch._real_terms(hinted) is not None
-        for K in (3, 8, 41, 600):
-            reference = all_sector_eigenvalues(NecklaceSpec(plain, K))
-            assert np.abs(all_sector_eigenvalues(NecklaceSpec(hinted, K)) - reference).max() < 1e-12
+    def test_a_custom_pearl_with_comb_edges_and_roots_takes_the_real_solve(self, d, monkeypatch):
+        made = make_comb_pearl(d)
+        plain = make_custom_pearl(d + 1, made.edges, made.root_in, made.root_out)
+        assert plain.comb_spacing is None
+        terms, n = bloch._sector_terms(plain, True)
+        assert terms.dtype == float and n == d
+        assert_matches_sector_spectra(plain, 41)
+        references = {K: full_spectrum(NecklaceSpec(plain, K)).sector_table() for K in (3, 8, 600)}
+
+        def refuse(*args):
+            raise AssertionError("the eigenvalue-only solve built the complex stack")
+
+        monkeypatch.setattr(bloch, "sector_matrix", refuse)
+        for K, reference in references.items():
+            assert np.abs(all_sector_eigenvalues(NecklaceSpec(plain, K)) - reference).max() < 1e-12
 
     @pytest.mark.parametrize("pearl", [
-        replace(make_custom_pearl(4, [(1, 2), (1, 3), (1, 4)], 1, 3), comb_spacing=3),
-        replace(make_custom_pearl(4, [(1, 2), (2, 3), (1, 4)], 1, 4), comb_spacing=3),
-        replace(make_comb_pearl(3), comb_spacing=2),
-        replace(make_comb_pearl(3), comb_spacing=-1),
+        make_custom_pearl(4, [(1, 2), (1, 3), (1, 4)], 1, 3),      # a star
+        make_custom_pearl(4, [(1, 2), (2, 3), (1, 4)], 1, 4),      # comb(3) edges, root on the tooth
+        replace(make_comb_pearl(3), root_out=2),                    # comb(3), out-root moved
     ])
-    def test_a_wrong_comb_hint_takes_the_complex_solve(self, pearl):
-        assert bloch._real_terms(pearl) is None
+    def test_a_two_root_pearl_that_is_no_comb_takes_the_complex_solve(self, pearl):
+        assert bloch._sector_terms(pearl, True) is None
         assert_matches_sector_spectra(pearl, 41)
 
-    @pytest.mark.parametrize("d, K", [(2, 16384), (8, 2048)])
+    @pytest.mark.parametrize("d, K", [(2, 16384), (4, 4096), (6, 4096), (8, 2048), (12, 2048)])
     def test_half_rows_split_into_ties_and_genuine_gaps(self, d, K):
         # A tolerance at solver precision (ROADMAP item 1) needs every tie that
-        # symmetry forces within a few eps * max|lambda| and every genuine gap
-        # far above it.
+        # symmetry forces to be exact and every genuine gap far above
+        # eps * max|lambda|.
         values = all_sector_eigenvalues(NecklaceSpec(comb(d), K))[: K // 2 + 1].ravel()
         scale = np.finfo(float).eps * np.abs(values).max()
         diffs = np.diff(np.sort(values))
-        assert np.all((diffs <= 4 * scale) | (diffs >= 1e6 * scale))
-        assert np.any(diffs <= 4 * scale)
+        assert np.all((diffs == 0) | (diffs >= 1e6 * scale))
+        assert np.any(diffs == 0)
 
     @pytest.mark.parametrize("K", [3, 4, 7, 8, 41])
     def test_conjugate_sectors_are_bitwise_equal(self, custom_pearl, K):

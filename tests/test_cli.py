@@ -91,6 +91,7 @@ class TestSpectrumCommand:
         ('{"m": 3, "edges": ["01"], "root_in": 0, "root_out": 1}', "malformed pearl object"),
         ('{"m": 3, "edges": [[0, 1, 2]], "root_in": 0, "root_out": 1}',
          "malformed pearl object"),
+        pytest.param("[" * 100000 + "]" * 100000, "maximum recursion depth", id="nested-100000-deep"),
     ])
     def test_unreadable_pearl_file_exits_one_naming_the_file(self, text, message, no_solve,
                                                              tmp_path, capsys):
@@ -466,6 +467,19 @@ class TestMemoryGuard:
         assert code == 1
         assert out == ""
         assert "GiB of physical memory" in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "oracle-check"])
+    def test_a_huge_comb_d_exits_one_before_the_pearl_is_built(self, command, no_solve,
+                                                             monkeypatch, capsys):
+        # At about 290 bytes an edge, this pearl alone would take some 29 GB.
+        def refuse(d):
+            raise AssertionError("the comb pearl was built before the memory guard")
+
+        monkeypatch.setattr(cli, "make_comb_pearl", refuse)
+        code, out, err = run_cli([command, "--comb-d", "100000000", "--K", "3"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "K=3 with M=100000001" in err and "GiB of physical memory" in err
 
     def test_vectors_out_counts_the_lifted_basis(self, no_solve, monkeypatch, tmp_path, capsys):
         # A 1 GiB machine: K = 2^20 at M = 2 has 64 MiB of sector vectors but
