@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import comb_analytics, dynamics, mixing, oracle
-from .bloch import full_spectrum
+from .bloch import all_sector_eigenvalues, full_spectrum
 from .errors import NecklaceError, finite_above
 from .graphs import (
     NecklaceSpec,
@@ -205,16 +205,31 @@ def _necklace_from_args(args) -> NecklaceSpec:
     return replace(necklace, pearl=make_comb_pearl(args.comb_d))
 
 
-def _guard_memory(K: int, M: int, extra: int = 0) -> None:
-    """Refuse a run whose estimated bytes exceed physical memory, before it allocates.
+# Peak bytes of each sector solve route with what its commands hold beside it,
+# per K M^2 and per K M, as tracemalloc counts them (tests/test_cli.py sweeps
+# every command).  Eigenvalues alone (spectrum, gap-scan): a complex half stack
+# and one temporary of it, then up to 256 bytes a CSV row.  Eigenpairs
+# (limiting, mix, spectrum --vectors-out): the stacked eigh output with its
+# phase-fixed and mirrored copies, then the averager's overlaps and same-group
+# pair sums beside the spectrum, up to about 116 K M^2 in all, and the CSV rows.
+SOLVE_BYTES = {False: (16, 256), True: (128, 384)}
+# Held by a command of any size: buffers, caches, numpy's first calls.
+FIXED_BYTES = 1 << 20
 
-    The sector stack takes 16 K M^2 bytes; ``extra`` is what the command adds.
-    """
+
+def _need_bytes(K: int, M: int, extra: int = 0, vectors: bool = False) -> int:
+    """Estimated peak bytes of a command on K pearls of M vertices; ``extra`` is its own."""
+    per_km2, per_km = SOLVE_BYTES[vectors]
+    return per_km2 * K * M * M + per_km * K * M + FIXED_BYTES + extra
+
+
+def _guard_memory(K: int, M: int, extra: int = 0, vectors: bool = False) -> None:
+    """Refuse a run whose estimated bytes exceed physical memory, before it allocates."""
     try:
         limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):    # no sysconf here: no known limit
         return
-    need = 16 * K * M * M + extra
+    need = _need_bytes(K, M, extra, vectors)
     if need > limit:
         raise _ConfigError(f"K={K} with M={M} needs about {need / 2**30:.3g} GiB, more than "
                            f"the {limit / 2**30:.3g} GiB of physical memory")
@@ -252,14 +267,16 @@ def _add_necklace(parser: argparse.ArgumentParser, start: bool = False) -> None:
 def cmd_spectrum(args) -> int:
     necklace = _necklace_from_args(args)
     K, M = necklace.K, necklace.pearl.m
-    # --vectors-out lifts the dense basis, filled in place pearl by pearl.
-    lifted = 16 * necklace.n_vertices ** 2 if args.vectors_out is not None else 0
-    _guard_memory(K, M, lifted)
-    spec = full_spectrum(necklace)
+    # --vectors-out adds the eigenvector solve and the lifted basis, filled in place.
+    dump = args.vectors_out is not None
+    _guard_memory(K, M, 16 * necklace.n_vertices ** 2 if dump else 0, vectors=dump)
     # Row K-k repeats row k bit for bit; _format_column formats each distinct value once.
-    lines = _rows(_labels(K)[:, None], _labels(M), _format_column(spec.sector_table()))
+    table = _format_column(all_sector_eigenvalues(necklace))
+    lines = _rows(_labels(K)[:, None], _labels(M), table)
     _write_lines(["k,n,lambda", *lines], args.output)
-    if args.vectors_out is not None:
+    if dump:
+        # The eigenvector solve; each record's lambda is the one solved with its vector.
+        spec = full_spectrum(necklace)
         vectors = spec.vectors
         k_index, n_index = spec.k_index.tolist(), spec.n_index.tolist()
         with open(args.vectors_out, "w", encoding="utf-8", newline="") as handle:
@@ -285,7 +302,7 @@ def cmd_limiting(args) -> int:
     j_start, m_start = _parse_start(args.start, necklace)
     if args.tau_deg is not None:                      # refused before the solve, not after it
         finite_above(args.tau_deg, "tau_deg")
-    _guard_memory(necklace.K, pearl.m)
+    _guard_memory(necklace.K, pearl.m, vectors=True)
     spec = full_spectrum(necklace)
     phi0 = dynamics.vertex_state(necklace, j_start, m_start)
     pi = dynamics.limiting_distribution(spec, phi0, tau_deg=args.tau_deg)
@@ -325,8 +342,11 @@ def cmd_mix(args) -> int:
         finite_above(args.tau_deg, "tau_deg")
     if args.cos_bound_c is not None:
         finite_above(args.cos_bound_c, "--cos-bound-c")
-    _guard_memory(K, necklace.pearl.m,
-                  dynamics.PAIR_CHUNK_BYTES + 40 * points * necklace.n_vertices)
+    M = necklace.pearl.m
+    # The pair tables take PAIR_CHUNK_BYTES, or one q's when that is more:
+    # dynamics counts (52 M + 100) bytes a pair and M^2 (K//2 + 1) pairs a q.
+    tables = max(dynamics.PAIR_CHUNK_BYTES, (52 * M + 100) * M * M * (K // 2 + 1))
+    _guard_memory(K, M, tables + 40 * points * necklace.n_vertices, vectors=True)
     spec = full_spectrum(necklace)
     phi0 = dynamics.vertex_state(necklace, j_start, m_start)
 
@@ -429,47 +449,66 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK if report["pass"] else EXIT_ORACLE
 
 
+def _spectrum_options(parser: argparse.ArgumentParser) -> None:
+    _add_necklace(parser)
+    parser.add_argument("--vectors-out", default=None, metavar="PATH",
+                        help="also dump lifted eigenvectors as JSON (adds the eigenvector solve)")
+
+
+def _limiting_options(parser: argparse.ArgumentParser) -> None:
+    _add_necklace(parser, start=True)
+    parser.add_argument("--closed-form", action="store_true",
+                        help="also emit analytic values (comb-d 1 only)")
+
+
+def _mix_options(parser: argparse.ArgumentParser) -> None:
+    _add_necklace(parser, start=True)
+    parser.add_argument("--eps", type=float, required=True, help="precision parameter in (0, 2]")
+    parser.add_argument("--T-hi", type=float, default=1e5, dest="T_hi",
+                        help="top of the geometric time grid (default 1e5)")
+    parser.add_argument("--T-lo", type=float, default=1.0, dest="T_lo",
+                        help="bottom of the geometric time grid (default 1)")
+    parser.add_argument("--cos-bound-c", type=float, default=None, metavar="C",
+                        help="also emit the closed-form bound column for C, positive and finite")
+
+
+def _gap_scan_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--d", required=True, help="tooth spacings, e.g. 1,2,3 (0 = cycle)")
+    parser.add_argument("--K", required=True, help="pearl counts, e.g. 16,32 or 16..256")
+    parser.add_argument("--linear", action="store_true",
+                        help="expand K ranges linearly (default: log-spaced)")
+
+
+# Subcommand name -> (function, help line, what adds its own options), in help order.
+_COMMANDS = {
+    "spectrum": (cmd_spectrum, "sector-labeled eigenvalues as CSV", _spectrum_options),
+    "limiting": (cmd_limiting, "limiting distribution from a vertex start", _limiting_options),
+    "mix": (cmd_mix, "total variation curve, bound and mixing time", _mix_options),
+    "gap-scan": (cmd_gap_scan, "minimum nonzero gap over (d, K) combs", _gap_scan_options),
+    "oracle-check": (cmd_oracle_check, "run all brute-force comparisons", _add_necklace),
+}
+
+
 @functools.cache
-def build_parser() -> _Parser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser for ``command`` alone, or for every subcommand when it is None.
+
+    Each is built once per process, and parsing leaves it unchanged.  A
+    subcommand parses and fails alike in either: they differ only in the
+    other subcommands, which its arguments never reach.
+    """
     parser = _Parser(prog="necklace-walk", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_spec = _add_command(sub, "spectrum", cmd_spectrum, "sector-labeled eigenvalues as CSV")
-    _add_necklace(p_spec)
-    p_spec.add_argument("--vectors-out", default=None, metavar="PATH",
-                        help="also dump lifted eigenvectors as JSON")
-
-    p_lim = _add_command(sub, "limiting", cmd_limiting,
-                         "limiting distribution from a vertex start")
-    _add_necklace(p_lim, start=True)
-    p_lim.add_argument("--closed-form", action="store_true",
-                       help="also emit analytic values (comb-d 1 only)")
-
-    p_mix = _add_command(sub, "mix", cmd_mix, "total variation curve, bound and mixing time")
-    _add_necklace(p_mix, start=True)
-    p_mix.add_argument("--eps", type=float, required=True, help="precision parameter in (0, 2]")
-    p_mix.add_argument("--T-hi", type=float, default=1e5, dest="T_hi",
-                       help="top of the geometric time grid (default 1e5)")
-    p_mix.add_argument("--T-lo", type=float, default=1.0, dest="T_lo",
-                       help="bottom of the geometric time grid (default 1)")
-    p_mix.add_argument("--cos-bound-c", type=float, default=None, metavar="C",
-                       help="also emit the closed-form bound column for C, positive and finite")
-
-    p_gap = _add_command(sub, "gap-scan", cmd_gap_scan, "minimum nonzero gap over (d, K) combs")
-    p_gap.add_argument("--d", required=True, help="tooth spacings, e.g. 1,2,3 (0 = cycle)")
-    p_gap.add_argument("--K", required=True, help="pearl counts, e.g. 16,32 or 16..256")
-    p_gap.add_argument("--linear", action="store_true",
-                       help="expand K ranges linearly (default: log-spaced)")
-
-    _add_necklace(_add_command(sub, "oracle-check", cmd_oracle_check,
-                               "run all brute-force comparisons"))
-
+    for name, (func, help, add_options) in _COMMANDS.items():
+        if command in (None, name):
+            add_options(_add_command(sub, name, func, help))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A known first word is the subcommand; anything else (--help, a typo) needs them all.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         if args.threads < 1:        # a compatibility flag, checked and otherwise unread

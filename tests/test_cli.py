@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from necklace_walks import (
     limiting_distribution,
     load_pearl_file,
     make_comb_pearl,
+    make_cycle_pearl,
     mixing,
     mixing_bound_curve,
     mixing_time,
@@ -118,6 +120,40 @@ class TestSpectrumCommand:
         assert len(records) == 3
         vec = np.array(records[1]["vector_re"]) + 1j * np.array(records[1]["vector_im"])
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["0", "1", "2", "file"])
+    def test_solves_eigenvalues_only(self, name, monkeypatch, tmp_path, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectrum ran an eigenvector solve")
+
+        source, pearl = pearl_source(name, tmp_path)
+        monkeypatch.setattr(cli, "full_spectrum", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        code, out, err = run_cli(["spectrum", *source, "--K", "9"], capsys)
+        assert code == 0, err
+        assert out == spectrum_rows_by_row(pearl, 9)
+
+    def test_vectors_out_takes_the_eigenvector_solve(self, monkeypatch, tmp_path, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached full_spectrum")
+
+        monkeypatch.setattr(cli, "full_spectrum", refuse)
+        with pytest.raises(AssertionError, match="reached full_spectrum"):
+            main(["spectrum", "--comb-d", "2", "--K", "9", "--vectors-out",
+                  str(tmp_path / "v.json")])
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("name, K", [("0", 2800), ("1", 1400), ("2", 800), ("file", 480)])
+    def test_values_match_the_eigenvector_solve_in_the_last_digit(self, name, K, tmp_path,
+                                                                  capsys):
+        source, pearl = pearl_source(name, tmp_path)
+        code, out, _ = run_cli(["spectrum", *source, "--K", str(K)], capsys)
+        assert code == 0
+        printed = [r[2] for r in csv_rows(out)[0]]
+        solved = full_spectrum(NecklaceSpec(pearl, K)).eigenvalues
+        assert np.abs(np.array(printed, dtype=float) - solved).max() <= 1e-14
+        if name in ("0", "1"):        # the cycle and the d = 1 comb print the same text
+            assert printed == [f"{v:.15g}" for v in solved]
 
 
 class TestLimitingCommand:
@@ -509,6 +545,96 @@ class TestMemoryGuard:
         assert not path.exists()
 
 
+PATH_PEARL = {"m": 41, "edges": [[i, i + 1] for i in range(40)], "root_in": 0, "root_out": 40}
+
+
+@pytest.mark.filterwarnings("ignore::necklace_walks.AmbiguousDegeneracyWarning")
+class TestMemoryEstimates:
+    """Each command's tracemalloc peak against the estimate its guard charges.
+
+    The sweep covers every route: the real eigenvalue stack (cycle, combs),
+    the complex one (pearl files, the 41-vertex path among them), the
+    eigenvector solve with the averager (limiting, mix) and the lifted basis.
+    """
+
+    SWEEP = [  # (pearl, K, commands); mix and --vectors-out run on small necklaces
+        ("0", 3, "spectrum limiting gap-scan mix vectors"),
+        ("0", 16384, "spectrum limiting gap-scan"),
+        ("0", 64, "mix vectors"),
+        ("1", 4096, "spectrum limiting gap-scan"),
+        ("1", 64, "mix"),
+        ("2", 2048, "spectrum limiting gap-scan"),
+        ("8", 512, "spectrum limiting gap-scan"),
+        ("20", 64, "spectrum limiting gap-scan"),
+        ("20", 16, "mix"),
+        ("file", 1024, "spectrum limiting"),
+        ("file", 32, "mix vectors"),
+        ("path", 128, "spectrum limiting"),
+    ]
+    TERMS = [(False, 0), (False, 1), (True, 0), (True, 1), None]   # None: FIXED_BYTES
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """(peak bytes, the command's guard arguments) for every command of the sweep."""
+        tmp = tmp_path_factory.mktemp("estimates")
+        (tmp / "path.json").write_text(json.dumps(PATH_PEARL))
+        out = ["--output", str(tmp / "out.csv")]
+        calls, original = [], cli._guard_memory
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        cli._guard_memory = recording
+        runs = []
+        try:
+            for name, K, commands in self.SWEEP:
+                if name == "path":
+                    source = ["--pearl-file", str(tmp / "path.json")]
+                else:
+                    source = pearl_source(name, tmp)[0]
+                necklace = ["--K", str(K)]
+                for command in commands.split():
+                    argv = {
+                        "spectrum": ["spectrum", *source, *necklace],
+                        "limiting": ["limiting", *source, *necklace, "--start", "0"],
+                        "gap-scan": ["gap-scan", "--d", name, *necklace],
+                        "mix": ["mix", *source, *necklace, "--start", "0", "--eps", "0.1",
+                                 "--T-hi", "100"],
+                        "vectors": ["spectrum", *source, *necklace, "--vectors-out",
+                                     str(tmp / "v.json")],
+                    }[command] + out
+                    assert main(argv) == 0          # the first call's imports are not traced
+                    calls.clear()
+                    tracemalloc.start()
+                    try:
+                        assert main(argv) == 0
+                        peak = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                    runs.append((argv, peak, calls[-1]))
+        finally:
+            cli._guard_memory = original
+        return runs
+
+    def test_each_peak_is_within_its_estimate(self, runs):
+        over = [(argv, peak, cli._need_bytes(*args, **kwargs))
+                for argv, peak, (args, kwargs) in runs if peak > cli._need_bytes(*args, **kwargs)]
+        assert not over
+
+    @pytest.mark.parametrize("term", TERMS)
+    def test_every_term_is_needed(self, term, runs, monkeypatch):
+        if term is None:
+            monkeypatch.setattr(cli, "FIXED_BYTES", 0)
+        else:
+            vectors, index = term
+            coefficients = list(cli.SOLVE_BYTES[vectors])
+            coefficients[index] = 0
+            monkeypatch.setattr(cli, "SOLVE_BYTES", {**cli.SOLVE_BYTES,
+                                                     vectors: tuple(coefficients)})
+        assert any(peak > cli._need_bytes(*args, **kwargs) for _, peak, (args, kwargs) in runs)
+
+
 class TestNonFiniteValues:
     @pytest.mark.parametrize("argv", [
         ["limiting", "--comb-d", "1", "--K", "8", "--start", "0", "--tau-deg", "nan"],
@@ -579,6 +705,7 @@ class TestOptionNames:
 
 
 class TestParserReuse:
+    NAMES = ["spectrum", "limiting", "mix", "gap-scan", "oracle-check"]
     COMMANDS = [
         ["spectrum", "--comb-d", "1", "--K", "8"],
         ["limiting", "--comb-d", "1", "--K", "8", "--start", "2,base", "--closed-form"],
@@ -598,9 +725,52 @@ class TestParserReuse:
         cli.build_parser.cache_clear()
         assert main(["mix", "--comb-d", "1", "--K", "8", "--start", "2,base",
                      "--eps", "x"]) == 1
-        reused = [run(f"reused{i}", argv) for i, argv in enumerate(self.COMMANDS)]
+        reused = [run(f"reused{i}", argv) for i, argv in enumerate(self.COMMANDS * 2)]
+        # One parser per distinct command, the failed mix included; the second round reuses.
+        assert cli.build_parser.cache_info().misses == 1 + len(self.COMMANDS)
+        assert reused == fresh * 2
+        capsys.readouterr()
+
+    def test_a_command_builds_only_its_own_parser(self, tmp_path):
+        cli.build_parser.cache_clear()
+        assert main(self.COMMANDS[0] + ["--output", str(tmp_path / "out.csv")]) == 0
+        assert "{spectrum}" in cli.build_parser("spectrum").format_usage()
         assert cli.build_parser.cache_info().misses == 1
-        assert reused == fresh
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in self.NAMES)
+
+    def test_unknown_command_names_every_choice(self, capsys):
+        code, out, err = run_cli(["nosuch"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "invalid choice: 'nosuch'" in err
+        assert all(name in err for name in self.NAMES)
+
+    def test_command_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["spectrum", "--help"])
+        assert exit_info.value.code == 0
+        assert "--vectors-out" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("failed", [
+        ["spectrum", "--cycle", "--K", "8", "--bogus"],
+        ["limiting", "--comb-d", "1", "--K", "8", "--start"],
+        ["gap-scan", "--d", "1"],
+        ["nosuch", "--K", "8"],
+    ])
+    @pytest.mark.parametrize("argv", COMMANDS[:2])
+    def test_a_failed_parse_leaves_the_next_command_alone(self, failed, argv, tmp_path,
+                                                          capsys):
+        cli.build_parser.cache_clear()
+        assert main(argv + ["--output", str(tmp_path / "fresh.csv")]) == 0
+        assert main(failed) == 1
+        assert main(argv + ["--output", str(tmp_path / "after.csv")]) == 0
+        assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
         capsys.readouterr()
 
 
@@ -608,10 +778,21 @@ PEARL_FILE = {"m": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 2], [1, 4]],
               "root_in": 0, "root_out": 3}
 
 
+def pearl_source(name, tmp_path):
+    """The command-line source and the pearl: "file" for PEARL_FILE, else comb d (0: cycle)."""
+    if name == "file":
+        path = tmp_path / "pearl.json"
+        path.write_text(json.dumps(PEARL_FILE))
+        return ["--pearl-file", str(path)], load_pearl_file(str(path))
+    if name == "0":
+        return ["--cycle"], make_cycle_pearl()
+    return ["--comb-d", name], make_comb_pearl(int(name))
+
+
 def spectrum_rows_by_row(pearl, K):
-    spec = full_spectrum(NecklaceSpec(pearl, K))
-    lines = ["k,n,lambda"] + [f"{spec.k_index[a]},{spec.n_index[a]},{spec.eigenvalues[a]:.15g}"
-                              for a in range(spec.size)]
+    table = bloch.all_sector_eigenvalues(NecklaceSpec(pearl, K))
+    lines = ["k,n,lambda"] + [f"{k},{n},{table[k, n]:.15g}"
+                              for k in range(K) for n in range(pearl.m)]
     return "\n".join(lines) + "\n"
 
 
