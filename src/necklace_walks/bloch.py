@@ -28,7 +28,7 @@ import numpy as np
 
 from .eig import EigenDecomposition, eigh, fix_phases
 from .errors import InvalidParameterError, NumericalFailureError
-from .graphs import NecklaceSpec, PearlSpec, make_comb_pearl
+from .graphs import NecklaceSpec, PearlSpec
 
 
 def momentum(k: int, K: int) -> float:
@@ -141,9 +141,9 @@ def _sector_terms(pearl: PearlSpec, real: bool):
     m, n = pearl.m, 1
     hops, reflect = np.zeros((m, m)), np.arange(m)
     if real and not pearl.single_root:
-        if pearl != make_comb_pearl(m - 1):
-            return None
         n = m - 1
+        if pearl.comb_spacing != n:
+            return None
         hops[np.arange(n - 1), np.arange(1, n)] = 1.0          # j -> j+1 along the ring
         reflect = np.append(-np.arange(n) % n, n)
     forward = hops.copy()

@@ -166,7 +166,7 @@ def _parse_start(text: str, necklace: NecklaceSpec) -> tuple[int, int]:
     if kind == "base":
         return j0 + 1, 1
     if kind == "tooth":
-        if pearl.comb_spacing is None or pearl.m < 2:
+        if not pearl.comb_spacing:                  # None, or 0 for the one-vertex cycle
             raise _ConfigError("this pearl has no tooth vertex")
         return j0 + 1, pearl.m
     try:
@@ -211,8 +211,9 @@ def _necklace_from_args(args) -> NecklaceSpec:
 # and one temporary of it, then up to 256 bytes a CSV row.  Eigenpairs
 # (limiting, mix, spectrum --vectors-out): the stacked eigh output with its
 # phase-fixed and mirrored copies, then the averager's overlaps and same-group
-# pair sums beside the spectrum, up to about 116 K M^2 in all, and the CSV rows.
-SOLVE_BYTES = {False: (16, 256), True: (128, 384)}
+# pair sums (chunked) beside the spectrum, about 50 K M^2 in all on a 41-vertex
+# pearl, and the CSV rows.
+SOLVE_BYTES = {False: (16, 256), True: (80, 384)}
 # Held by a command of any size: buffers, caches, numpy's first calls.
 FIXED_BYTES = 1 << 20
 
@@ -310,7 +311,7 @@ def cmd_limiting(args) -> int:
     closed = None
     if args.closed_form:
         if pearl.comb_spacing != 1:
-            raise _ConfigError("--closed-form is only available for --comb-d 1")
+            raise _ConfigError("--closed-form is only available for the d = 1 comb (--comb-d 1)")
         closed = comb_analytics.comb1_limiting_distribution(
             necklace.K, pearl.vertex_kind(m_start), j_start
         )
@@ -458,7 +459,7 @@ def _spectrum_options(parser: argparse.ArgumentParser) -> None:
 def _limiting_options(parser: argparse.ArgumentParser) -> None:
     _add_necklace(parser, start=True)
     parser.add_argument("--closed-form", action="store_true",
-                        help="also emit analytic values (comb-d 1 only)")
+                        help="also emit analytic values (the d = 1 comb only)")
 
 
 def _mix_options(parser: argparse.ArgumentParser) -> None:

@@ -98,12 +98,10 @@ def comb1_coefficients(K: int, x: int, z: int) -> Comb1Coefficients:
     _check_cycle_args(K, x, z)
     weights = _sector_weights(K)
     mean = float(weights.mean())
-    phased = np.mean(weights * np.exp(1j * (2.0 * math.pi / K) * 2.0 * (x - z) * np.arange(K)))
-    if not abs(phased.imag) <= 1e-12:
-        raise InvalidParameterError(
-            f"offset weight has imaginary part {phased.imag:.3e}; "
-            "pearl indices are inconsistent"
-        )
+    # The phase index 2 (x - z) k is reduced mod K in integers: at large K the
+    # unreduced angle, up to 4 pi K, would carry its roundoff into the sum.
+    phase = 2 * (x - z) * np.arange(K) % K
+    phased = np.mean(weights * np.exp(1j * (2.0 * math.pi / K) * phase))
     return Comb1Coefficients(
         weight_mean=mean,
         weight_at_offset=float(phased.real),

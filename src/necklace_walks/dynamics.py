@@ -286,10 +286,10 @@ class _SectorAverager:
         appearance along the sorted spectrum.  Small groups list their
         pairs; a group with more than sqrt(K) members, such as a flat band,
         is the circular autocorrelation over k of its summed amplitudes,
-        taken by FFT.
+        taken by FFT.  Pair lists are built for a chunk of groups at a time,
+        within about ``PAIR_CHUNK_BYTES``, and added in the same order.
         """
         K, M = self.K, self.M
-        amps = self.amps.reshape(K * M, M)
         members, bounds = self.partition.members, self.partition.bounds
         sizes = np.diff(bounds)
         by_size = np.argsort(sizes, kind="stable")      # each size's groups in spectrum order
@@ -298,12 +298,18 @@ class _SectorAverager:
         for bucket in sorted(buckets, key=lambda b: b[0]):
             size = int(sizes[bucket[0]])
             idx = members[bounds[bucket][:, None] + np.arange(size)]     # (groups, size)
-            sector, a = idx // M, amps[idx]
+            # Indexed as [k, n]: reshaping the transposed amps would copy all of it.
+            sector, branch = np.divmod(idx, M)
             if size * size <= K:
-                q = (sector[:, :, None] - sector[:, None, :]) % K
-                terms = a[:, :, None, :] * a[:, None, :, :].conj()
-                np.add.at(s, q.ravel(), terms.reshape(-1, M))
+                step = max(1, PAIR_CHUNK_BYTES // (16 * size * (size + 2) * M))  # terms, a, conj(a)
+                for g0 in range(0, len(idx), step):
+                    rows = slice(g0, g0 + step)
+                    a = self.amps[sector[rows], branch[rows]]
+                    q = (sector[rows, :, None] - sector[rows, None, :]) % K
+                    terms = a[:, :, None, :] * a[:, None, :, :].conj()
+                    np.add.at(s, q.ravel(), terms.reshape(-1, M))
             else:
+                a = self.amps[sector, branch]
                 z = np.zeros((len(bucket), K, M), dtype=complex)
                 np.add.at(z, (np.arange(len(bucket))[:, None], sector), a)
                 s += np.fft.ifft(np.abs(np.fft.fft(z, axis=1)) ** 2, axis=1).sum(axis=0)
@@ -360,7 +366,8 @@ class _SectorAverager:
         total = w0 + w1
         w0 -= w1
         scale = np.where(cross, col / np.where(cross, gaps, 1.0), 0.0)[:, None]
-        w0 *= scale
+        np.multiply(w0.real, scale, out=w0.real)                     # real scale, no complex cast
+        np.multiply(w0.imag, scale, out=w0.imag)
         np.multiply(total.imag, -scale, out=w1.real)                  # w1 = i scale total
         np.multiply(total.real, scale, out=w1.imag)
         del total

@@ -13,8 +13,9 @@ converted at the boundary (see :func:`pearl_from_json`).
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +26,7 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class PearlSpec:
-    """One pearl: vertex count, edge set and the two root vertices.
+    """One pearl: vertex count, edge set and two root vertices; all else is read from these.
 
     Attributes
     ----------
@@ -35,22 +36,23 @@ class PearlSpec:
         Undirected edges, stored with the smaller endpoint first.
     root_in, root_out : int
         Vertices carrying the links to the previous / next pearl.
-    comb_spacing : int or None
-        d for pearls built by :func:`make_comb_pearl`, 0 for
-        :func:`make_cycle_pearl`, None for custom pearls.  A label only: it
-        names vertices base or tooth in reports and picks the closed forms;
-        no solve reads it.
     """
 
     m: int
     edges: frozenset[Edge]
     root_in: int
     root_out: int
-    comb_spacing: int | None = field(default=None, compare=False)
 
     @property
     def single_root(self) -> bool:
         return self.root_in == self.root_out
+
+    @functools.cached_property
+    def comb_spacing(self) -> int | None:
+        """0 for the cycle, d for the pearl equal to ``make_comb_pearl(d)``, else None."""
+        d = self.m - 1                  # a comb has d edges and out-root d; only then build one
+        comb = d == 0 or len(self.edges) == d == self.root_out and self == make_comb_pearl(d)
+        return d if comb else None
 
     def adjacency(self) -> np.ndarray:
         """Return the m x m symmetric 0/1 adjacency matrix."""
@@ -61,11 +63,9 @@ class PearlSpec:
         return p
 
     def vertex_kind(self, m: int) -> str:
-        """Classify vertex m as 'base' / 'tooth' (combs) or 'v<m0>' (custom)."""
+        """Classify vertex m as 'base' / 'tooth' (comb or cycle) or 'v<m0>' (any other pearl)."""
         if self.comb_spacing is not None:
-            return "tooth" if m == self.m and self.m > 1 else "base"
-        if self.m == 1:
-            return "base"
+            return "tooth" if m == self.m and self.comb_spacing else "base"
         return f"v{m - 1}"
 
 
@@ -134,12 +134,12 @@ def make_comb_pearl(d: int) -> PearlSpec:
         raise InvalidParameterError(f"tooth spacing d must be >= 1, got {d}")
     edges = [(m, m + 1) for m in range(1, d)]
     edges.append((1, d + 1))
-    return replace(make_custom_pearl(d + 1, edges, root_in=1, root_out=d), comb_spacing=d)
+    return make_custom_pearl(d + 1, edges, root_in=1, root_out=d)
 
 
 def make_cycle_pearl() -> PearlSpec:
     """Single-vertex pearl; K of them assemble into the plain K-cycle."""
-    return replace(make_custom_pearl(1, [], root_in=1, root_out=1), comb_spacing=0)
+    return make_custom_pearl(1, [], root_in=1, root_out=1)
 
 
 def assemble_hamiltonian(necklace: NecklaceSpec) -> np.ndarray:

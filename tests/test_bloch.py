@@ -331,7 +331,7 @@ class TestStackedSpectrum:
     def test_a_custom_pearl_with_comb_edges_and_roots_takes_the_real_solve(self, d, monkeypatch):
         made = make_comb_pearl(d)
         plain = make_custom_pearl(d + 1, made.edges, made.root_in, made.root_out)
-        assert plain.comb_spacing is None
+        assert plain.comb_spacing == d
         terms, n = bloch._sector_terms(plain, True)
         assert terms.dtype == float and n == d
         assert_matches_sector_spectra(plain, 41)

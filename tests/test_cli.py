@@ -789,6 +789,37 @@ def pearl_source(name, tmp_path):
     return ["--comb-d", name], make_comb_pearl(int(name))
 
 
+class TestPearlFileOfAFamily:
+    """A pearl file whose graph is the cycle or a comb prints what --cycle / --comb-d d print."""
+
+    @staticmethod
+    def pearl_file(pearl, path):
+        """``pearl`` as a 0-based pearl file, edges listed last first and high endpoint first."""
+        edges = [[b - 1, a - 1] for a, b in sorted(pearl.edges, reverse=True)]
+        path.write_text(json.dumps({"m": pearl.m, "edges": edges,
+                                    "root_in": pearl.root_in - 1, "root_out": pearl.root_out - 1}))
+        return ["--pearl-file", str(path)]
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_every_command_prints_the_family_bytes(self, d, tmp_path):
+        family, pearl = pearl_source(str(d), tmp_path)
+        from_file = self.pearl_file(pearl, tmp_path / "pearl.json")
+        # Each start with the options it runs under; the cycle has no tooth, and only
+        # the d = 1 comb has --closed-form.
+        starts = {0: ["1"], 1: ["1,tooth", "2,base --closed-form"]}.get(d, ["1,tooth", "2,1"])
+        commands = [["spectrum", "--K", "5"], ["oracle-check", "--K", "5"],
+                    ["mix", "--K", "5", "--start", starts[0], "--eps", "0.1", "--T-hi", "100"]]
+        commands += [["limiting", "--K", "5", "--start", *start.split()] for start in starts]
+        for command in commands:
+            texts = []
+            for source in (family, from_file):
+                out = tmp_path / "out.txt"
+                assert main([*command, *source, "--output", str(out)]) == 0, command
+                texts.append(out.read_bytes())
+            assert texts[0] == texts[1], command
+        assert load_pearl_file(from_file[1]).comb_spacing == d
+
+
 def spectrum_rows_by_row(pearl, K):
     table = bloch.all_sector_eigenvalues(NecklaceSpec(pearl, K))
     lines = ["k,n,lambda"] + [f"{k},{n},{table[k, n]:.15g}"

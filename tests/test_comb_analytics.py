@@ -169,6 +169,14 @@ class TestComb1LimitingDistribution:
             vector = comb1_limiting_distribution(K, start_kind, z)
             assert np.abs(vector - comb1_closed_vector(K, start_kind, z)).max() < 1e-14
 
+    @pytest.mark.parametrize("K", [40000, 70000, 100000])
+    def test_pointwise_closed_form_holds_at_large_K(self, K):
+        # The phase 2 (x - z) k reaches about 2 K^2 here; its angle must not carry roundoff.
+        vector = comb1_limiting_distribution(K, "base", 1)
+        for x in range(K - 25, K + 1):
+            for m, target in enumerate(("base", "tooth")):
+                assert abs(comb1_limiting(K, "base", target, x, 1) - vector[2 * (x - 1) + m]) < 1e-15
+
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             comb1_limiting_distribution(8, "ring", 1)

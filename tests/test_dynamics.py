@@ -533,11 +533,13 @@ class TestVectorizedPartition:
         assert [g.tolist() for g in part.groups] == [[0, 1], [2]]
         assert part.ambiguous
 
-    @pytest.mark.parametrize("pearl, K, start", [
+    SAME_GROUP_CASES = [
         (make_comb_pearl(2), 16, (5, 3)),     # flat band: one group of K > sqrt(K) members
         (pendant_pair_pearl(), 12, (4, 3)),
         (pendant_pair_pearl(), 9, (2, 1)),
-    ])
+    ]
+
+    @pytest.mark.parametrize("pearl, K, start", SAME_GROUP_CASES)
     def test_same_group_sum_matches_the_group_loop(self, pearl, K, start):
         neck = NecklaceSpec(pearl, K)
         spec = full_spectrum(neck)
@@ -545,6 +547,18 @@ class TestVectorizedPartition:
         sizes = np.diff(averager.partition.bounds)
         assert sizes.max() ** 2 > K and sizes.min() ** 2 <= K     # both branches run
         assert_layout_matches(averager.partition, averager.partition.groups)
+        assert np.array_equal(averager._same_group_sum(), same_group_sum_by_loop(averager))
+
+    @pytest.mark.parametrize("pearl, K, start", SAME_GROUP_CASES)
+    def test_same_group_sum_in_chunks_of_one_group_matches_the_group_loop(
+            self, pearl, K, start, monkeypatch):
+        neck = NecklaceSpec(pearl, K)
+        averager = _SectorAverager(full_spectrum(neck), vertex_state(neck, *start), None)
+        sizes = np.diff(averager.partition.bounds)
+        listed = sizes[sizes ** 2 <= K]
+        # Every pair-list bucket holds two or more groups, so one group a chunk splits each.
+        assert all(np.count_nonzero(listed == size) > 1 for size in listed)
+        monkeypatch.setattr(dynamics, "PAIR_CHUNK_BYTES", 1)
         assert np.array_equal(averager._same_group_sum(), same_group_sum_by_loop(averager))
 
     @settings(max_examples=40, deadline=None)

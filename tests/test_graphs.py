@@ -85,6 +85,50 @@ class TestCustomPearl:
             make_custom_pearl(m, edges, ri, ro)
 
 
+def zero_based(pearl):
+    return {"m": pearl.m, "edges": [[a - 1, b - 1] for a, b in sorted(pearl.edges)],
+            "root_in": pearl.root_in - 1, "root_out": pearl.root_out - 1}
+
+
+class TestCombSpacing:
+    @pytest.mark.parametrize("d", range(13))
+    def test_read_from_the_graph_however_built(self, d):
+        made = make_cycle_pearl() if d == 0 else make_comb_pearl(d)
+        plain = make_custom_pearl(made.m, sorted(made.edges, reverse=True), made.root_in,
+                                  made.root_out)
+        for pearl in (made, plain, pearl_from_json(zero_based(made))):
+            assert pearl == made and pearl.comb_spacing == d
+
+    @pytest.mark.parametrize("pearl", [
+        make_custom_pearl(4, [(1, 2), (2, 3), (1, 4)], 1, 2),              # comb(3), out-root moved
+        make_custom_pearl(4, [(1, 2), (2, 3), (1, 4)], 1, 4),              # out-root on the tooth
+        make_custom_pearl(4, [(1, 2), (2, 3), (1, 4), (3, 4)], 1, 3),      # comb(3) plus one edge
+        make_custom_pearl(3, [(1, 2), (1, 3), (2, 3)], 1, 2),              # comb(2) plus one edge
+        make_custom_pearl(4, [(1, 2), (1, 3), (1, 4)], 1, 3),              # a star
+        make_custom_pearl(4, [(1, 4), (3, 4), (1, 2)], 1, 3),              # comb(3) relabelled
+        make_custom_pearl(2, [(1, 2)], 2, 2),                              # comb(1) relabelled
+        make_custom_pearl(3, [(1, 2)], 1, 2),                              # comb(2) less an edge
+    ])
+    def test_near_misses_are_no_comb(self, pearl):
+        assert pearl.comb_spacing is None
+        assert [pearl.vertex_kind(m) for m in range(1, pearl.m + 1)] == [
+            f"v{m}" for m in range(pearl.m)]
+
+    def test_no_comb_is_built_unless_edges_and_out_root_allow_one(self, monkeypatch):
+        from necklace_walks import graphs
+
+        path = make_custom_pearl(41, [(i, i + 1) for i in range(1, 41)], 1, 41)
+        monkeypatch.setattr(graphs, "make_comb_pearl", None)     # a call would raise
+        assert path.comb_spacing is None
+
+    def test_vertex_kinds(self):
+        assert make_cycle_pearl().vertex_kind(1) == "base"
+        assert [make_comb_pearl(3).vertex_kind(m) for m in (1, 2, 3, 4)] == [
+            "base", "base", "base", "tooth"]
+        assert pearl_from_json({"m": 2, "edges": [[0, 1]], "root_in": 0,
+                                "root_out": 0}).vertex_kind(2) == "tooth"
+
+
 class TestNecklace:
     def test_k_must_be_at_least_three(self):
         with pytest.raises(InvalidParameterError):
