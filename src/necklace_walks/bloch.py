@@ -14,8 +14,10 @@ built from one form, C0 + cos t C1 + sin t C2 (:func:`_sector_terms`).
 Y_{K-k} is the complex conjugate of Y_k, so only k = 0..K//2 are
 diagonalized, in one stacked solve.  For eigenvalues alone, a pearl whose
 graph is single-rooted or a d >= 2 comb is solved as a real symmetric
-stack with the same spectra.  Sector eigenvectors are lifted back to the
-necklace by the plane-wave phases only when a dense basis is read.
+stack with the same spectra, and a bipartite pearl whose link joins its
+two colour classes by the singular values of one off-diagonal block.
+Sector eigenvectors are lifted back to the necklace by the plane-wave
+phases only when a dense basis is read.
 """
 
 from __future__ import annotations
@@ -157,26 +159,88 @@ def _sector_terms(pearl: PearlSpec, real: bool):
 
 
 def _stack(terms: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
-    """C0 + cos t C1 + sin t C2 at t = p / n for every momentum p, shape ``p.shape + (M, M)``."""
-    c0, c1, c2 = terms
-    t = (p / n)[..., None, None]
-    y = np.cos(t) * c1
-    y += c0
-    y += np.sin(t) * c2
-    return y
+    """C0 + cos t C1 + sin t C2 at t = p / n for every momentum p, shape ``p.shape + C0.shape``.
+
+    One product [1, cos t, sin t] @ (C0, C1, C2) builds the whole stack,
+    with no temporary of its size.  The terms hold small integers, at most
+    two of them nonzero in any real or imaginary part, so each entry is
+    two exact products rounded once: the broadcast sum bit for bit.
+    """
+    t = p / n
+    coefficients = np.empty(t.shape + (3,))
+    coefficients[..., 0] = 1.0
+    np.cos(t, out=coefficients[..., 1])
+    np.sin(t, out=coefficients[..., 2])
+    return (coefficients @ terms.reshape(3, -1)).reshape(t.shape + terms.shape[1:])
+
+
+@functools.lru_cache(maxsize=2)
+def _colour_classes(pearl: PearlSpec):
+    """Vertex indices (c0, c1) of the two colour classes, or None.
+
+    They exist when the pearl's graph with the link root_out -- root_in
+    added is bipartite (a single-root pearl's link is a loop, so never).
+    Then every edge and the link join c0 to c1, so each sector matrix is
+    chiral: zero on the c0 x c0 and c1 x c1 blocks.  The d-comb's ring
+    reflection keeps each class, so its real form is chiral too.
+    """
+    neighbours = [[] for _ in range(pearl.m)]
+    for a, b in (*pearl.edges, (pearl.root_in, pearl.root_out)):
+        neighbours[a - 1].append(b - 1)
+        neighbours[b - 1].append(a - 1)
+    colour = np.full(pearl.m, -1)
+    for start in range(pearl.m):
+        if colour[start] >= 0:
+            continue
+        colour[start], frontier = 0, [start]
+        while frontier:
+            v = frontier.pop()
+            for u in neighbours[v]:
+                if colour[u] == colour[v]:
+                    return None
+                if colour[u] < 0:
+                    colour[u] = 1 - colour[v]
+                    frontier.append(u)
+    classes = np.flatnonzero(colour == 0), np.flatnonzero(colour == 1)
+    for c in classes:
+        c.setflags(write=False)
+    return classes
+
+
+def _chiral_values(block: np.ndarray) -> np.ndarray:
+    """Ascending spectra of the chiral matrices [[0, B], [B^H, 0]] for a stack of blocks B.
+
+    Each row is -s, |m0 - m1| exact zeros, +s, for the singular values s
+    of B: its norm when B has one row or column, else an SVD.
+    """
+    m0, m1 = block.shape[1:]
+    if min(m0, m1) == 1:
+        s = np.linalg.norm(block, axis=(1, 2))[:, None]
+    else:
+        s = np.linalg.svd(block, compute_uv=False)                  # descending
+    zeros = np.zeros((len(block), abs(m0 - m1)))
+    return np.concatenate([0.0 - s, zeros, s[:, ::-1]], axis=1)    # 0 - s: no -0.0
 
 
 def _solve_half(pearl: PearlSpec, K: int, vectors: bool):
-    """Stacked eigensolve of Y_k for k = 0..K//2 (``eigh`` or ``eigvalsh``).
+    """Stacked eigensolve of Y_k for k = 0..K//2: ``eigh``, or eigenvalues alone.
 
     Eigenvalues alone come from the real form of :func:`_sector_terms`
-    when the pearl's graph has one, else from the complex stack.
+    when the pearl's graph has one, else from the complex stack.  When the
+    pearl has colour classes (:func:`_colour_classes`) they are the signed
+    singular values of the stack's c0 x c1 block, with no ``eigvalsh``;
+    every other pearl takes ``eigvalsh``.
     """
     p = 2.0 * np.pi * np.arange(K // 2 + 1) / K
-    real = None if vectors else _sector_terms(pearl, True)
-    y = sector_matrix(pearl, p) if real is None else _stack(*real, p)
     try:
-        return np.linalg.eigh(y) if vectors else np.linalg.eigvalsh(y)
+        if vectors:
+            return np.linalg.eigh(sector_matrix(pearl, p))
+        terms, n = _sector_terms(pearl, True) or _sector_terms(pearl, False)
+        classes = _colour_classes(pearl)
+        if classes is None:
+            return np.linalg.eigvalsh(_stack(terms, n, p))
+        c0, c1 = classes
+        return _chiral_values(_stack(terms[:, c0][:, :, c1], n, p))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
 
@@ -204,13 +268,16 @@ def full_spectrum(necklace: NecklaceSpec) -> FullSpectrum:
 
 
 def all_sector_eigenvalues(necklace: NecklaceSpec) -> np.ndarray:
-    """Sector eigenvalue table (K, M) from one stacked ``eigvalsh``, no vectors.
+    """Sector eigenvalue table (K, M) from one stacked solve, no vectors.
 
     A pearl whose graph is single-rooted or a d >= 2 comb solves a real
-    symmetric stack with the same spectra; its values differ from
-    :func:`full_spectrum`'s in the last digits, and the ties that symmetry
-    forces are exact.  Every other pearl solves the complex Hermitian stack.
-    Rows k and K-k are equal bit for bit either way.
+    symmetric stack with the same spectra, every other pearl the complex
+    Hermitian stack.  A pearl with colour classes (the even-d combs among
+    others) takes each row from the singular values s of the stack's
+    m0 x m1 block, as -s, |m0 - m1| exact zeros (its flat bands) and +s,
+    with no ``eigvalsh``.  Values can differ from :func:`full_spectrum`'s
+    in the last digits; the ties that symmetry forces are exact, and rows
+    k and K-k are equal bit for bit.
     """
     return _mirror(_solve_half(necklace.pearl, necklace.K, vectors=False), necklace.K)
 

@@ -207,13 +207,14 @@ def _necklace_from_args(args) -> NecklaceSpec:
 
 # Peak bytes of each sector solve route with what its commands hold beside it,
 # per K M^2 and per K M, as tracemalloc counts them (tests/test_cli.py sweeps
-# every command).  Eigenvalues alone (spectrum, gap-scan): a complex half stack
-# and one temporary of it, then up to 256 bytes a CSV row.  Eigenpairs
+# every command).  Eigenvalues alone (spectrum, gap-scan): a complex half stack,
+# built with no temporary of its size (a real or chiral stack is smaller), then
+# up to 256 bytes a CSV row.  Eigenpairs
 # (limiting, mix, spectrum --vectors-out): the stacked eigh output with its
 # phase-fixed and mirrored copies, then the averager's overlaps and same-group
 # pair sums (chunked) beside the spectrum, about 50 K M^2 in all on a 41-vertex
 # pearl, and the CSV rows.
-SOLVE_BYTES = {False: (16, 256), True: (80, 384)}
+SOLVE_BYTES = {False: (8, 256), True: (80, 384)}
 # Held by a command of any size: buffers, caches, numpy's first calls.
 FIXED_BYTES = 1 << 20
 

@@ -161,7 +161,8 @@ def _sector_overlaps(spec: FullSpectrum, phi: np.ndarray) -> np.ndarray:
     K, M = spec.necklace.K, spec.necklace.pearl.m
     phi_k = np.exp(-2j * np.pi * np.arange(K) / K)[:, None] * np.fft.fft(
         phi.reshape(K, M), axis=0)
-    return np.einsum("kmn,km->kn", spec.sector_vectors.conj(), phi_k) / math.sqrt(K)
+    # y^H phi_k is conj(y^T conj(phi_k)) bit for bit, with no conjugate copy of y.
+    return np.einsum("kmn,km->kn", spec.sector_vectors, phi_k.conj()).conj() / math.sqrt(K)
 
 
 def probability_at_time(spec: FullSpectrum, phi0: np.ndarray, t: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -397,3 +398,138 @@ class TestStackedSpectrum:
             k, n = spec.k_index[a], spec.n_index[a]
             lifted = lift(spec.sector_vectors[k][:, n], k, K)
             assert np.array_equal(vectors[:, a], lifted)
+
+
+def broadcast_stack(terms, n, p):
+    """C0 + cos t C1 + sin t C2 by broadcasting, the reference for ``bloch._stack``."""
+    c0, c1, c2 = terms
+    t = (p / n)[..., None, None]
+    y = np.cos(t) * c1
+    y += c0
+    y += np.sin(t) * c2
+    return y
+
+
+def draw_chiral_pearl(data, max_m=7):
+    """A drawn connected pearl, bipartite with its roots in different colour classes.
+
+    Returns the pearl and the class (0 or 1) of each vertex, read off a
+    random tree; extra edges only join the two classes.
+    """
+    m = data.draw(st.integers(2, max_m), label="m")
+    tree = [(data.draw(st.integers(1, v - 1)), v) for v in range(2, m + 1)]
+    side = [0] * m
+    for a, b in tree:
+        side[b - 1] = 1 - side[a - 1]
+    across = [(a, b) for a in range(1, m + 1) for b in range(a + 1, m + 1)
+              if side[a - 1] != side[b - 1] and (a, b) not in tree]
+    extra = data.draw(st.lists(st.sampled_from(across), unique=True), label="extra") \
+        if across else []
+    root_in = data.draw(st.integers(1, m), label="root_in")
+    root_out = data.draw(st.sampled_from([v for v in range(1, m + 1)
+                                          if side[v - 1] != side[root_in - 1]]), label="root_out")
+    return make_custom_pearl(m, tree + extra, root_in, root_out), side
+
+
+def has_colour_classes(pearl):
+    """Brute force over every 2-colouring: does one put each edge and the link across?"""
+    links = [*pearl.edges, (pearl.root_in, pearl.root_out)]
+    return any(all(c[a - 1] != c[b - 1] for a, b in links)
+               for c in itertools.product((0, 1), repeat=pearl.m))
+
+
+def refuse_eigvalsh(patch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh ran on a pearl with colour classes")
+
+    patch.setattr(np.linalg, "eigvalsh", refuse)
+
+
+@pytest.fixture
+def eigvalsh_shapes(monkeypatch):
+    """Shapes of the stacks passed to ``np.linalg.eigvalsh``, recorded as it runs."""
+    shapes, solve = [], np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return shapes
+
+
+class TestStackProduct:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_stack_is_the_broadcast_sum_bit_for_bit(self, data):
+        pearl = draw_connected_pearl(data, max_m=8)
+        K = data.draw(st.integers(3, 4096), label="K")
+        p = 2.0 * np.pi * np.arange(K // 2 + 1) / K
+        forms = [form for form in (bloch._sector_terms(pearl, False),
+                                   bloch._sector_terms(pearl, True)) if form is not None]
+        for terms, n in forms:
+            assert np.array_equal(bloch._stack(terms, n, p), broadcast_stack(terms, n, p))
+            for scalar in (p[0], p[1], p[-1]):
+                y = bloch._stack(terms, n, np.asarray(scalar))
+                assert y.shape == (pearl.m, pearl.m)
+                assert np.array_equal(y, broadcast_stack(terms, n, np.asarray(scalar)))
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_comb_real_form_is_the_broadcast_sum_bit_for_bit(self, d):
+        terms, n = bloch._sector_terms(comb(d), True)
+        p = 2.0 * np.pi * np.arange(11585 // 2 + 1) / 11585
+        assert np.array_equal(bloch._stack(terms, n, p), broadcast_stack(terms, n, p))
+
+
+class TestChiralSolve:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_colour_classes_are_those_of_a_brute_force_colouring(self, data):
+        pearl = draw_connected_pearl(data)
+        classes = bloch._colour_classes(pearl)
+        assert (classes is not None) == has_colour_classes(pearl)
+        if classes is not None:
+            c0, c1 = (set(c + 1) for c in classes)
+            assert c0 | c1 == set(range(1, pearl.m + 1)) and not c0 & c1
+            for a, b in (*pearl.edges, (pearl.root_in, pearl.root_out)):
+                assert (a in c0) != (b in c0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_chiral_pearls_solve_without_eigvalsh(self, data):
+        pearl, side = draw_chiral_pearl(data)
+        K = data.draw(st.integers(3, 40), label="K")
+        drawn = {frozenset(np.flatnonzero(np.array(side) == c)) for c in (0, 1)}
+        assert {frozenset(c) for c in bloch._colour_classes(pearl)} == drawn
+        assert_matches_sector_spectra(pearl, K)
+        with pytest.MonkeyPatch.context() as patch:
+            refuse_eigvalsh(patch)
+            table = all_sector_eigenvalues(NecklaceSpec(pearl, K))
+        zeros = abs(pearl.m - 2 * sum(side))
+        assert np.all(np.count_nonzero(table == 0.0, axis=1) >= zeros)
+        assert np.array_equal(table, -table[:, ::-1])                 # bitwise +/- pairs
+        assert np.all(np.diff(table, axis=1) >= 0)
+        assert not np.signbit(table[table == 0.0]).any()
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 12])
+    def test_even_combs_take_the_chiral_solve(self, d, monkeypatch):
+        refuse_eigvalsh(monkeypatch)
+        table = all_sector_eigenvalues(NecklaceSpec(comb(d), 601))
+        assert np.all(np.count_nonzero(table == 0.0, axis=1) >= 1)       # the flat band
+        if d == 2:
+            s = np.sqrt(3.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(601) / 601))
+            assert np.abs(table - np.stack([-s, 0 * s, s], axis=1)).max() < 1e-12
+
+    @pytest.mark.parametrize("pearl", [
+        make_cycle_pearl(),
+        make_comb_pearl(1),                                            # single root
+        make_custom_pearl(3, [(1, 2), (2, 3)], 2, 2),                  # single root, bipartite graph
+        make_comb_pearl(3),                                            # both roots in one class
+        make_comb_pearl(5),
+        make_custom_pearl(3, [(1, 2), (2, 3), (1, 3)], 1, 2),          # an odd cycle
+        make_custom_pearl(4, [(1, 2), (2, 3), (3, 4)], 1, 3),          # the link closes an odd cycle
+    ])
+    def test_other_pearls_still_call_eigvalsh(self, pearl, eigvalsh_shapes):
+        assert bloch._colour_classes(pearl) is None
+        all_sector_eigenvalues(NecklaceSpec(pearl, 9))
+        assert eigvalsh_shapes == [(5, pearl.m, pearl.m)]

@@ -545,16 +545,24 @@ class TestMemoryGuard:
         assert not path.exists()
 
 
-PATH_PEARL = {"m": 41, "edges": [[i, i + 1] for i in range(40)], "root_in": 0, "root_out": 40}
+def path_pearl(m):
+    """The m-vertex path with a root at each end; the roots share a colour class for odd m."""
+    return {"m": m, "edges": [[i, i + 1] for i in range(m - 1)], "root_in": 0, "root_out": m - 1}
+
+
+PATH_PEARLS = {"path41": path_pearl(41), "path81": path_pearl(81), "path40": path_pearl(40)}
 
 
 @pytest.mark.filterwarnings("ignore::necklace_walks.AmbiguousDegeneracyWarning")
 class TestMemoryEstimates:
     """Each command's tracemalloc peak against the estimate its guard charges.
 
-    The sweep covers every route: the real eigenvalue stack (cycle, combs),
-    the complex one (pearl files, the 41-vertex path among them), the
-    eigenvector solve with the averager (limiting, mix) and the lifted basis.
+    The sweep covers every route: the real eigenvalue stack (cycle, odd
+    combs), the complex one (pearl files, the 41- and 81-vertex paths among
+    them), the chiral one (even combs, the 40-vertex path), the eigenvector
+    solve with the averager (limiting, mix) and the lifted basis.  The
+    81-vertex path needs the K M^2 term of the eigenvalue route, the
+    cycle and the d = 2 comb at K = 16384 its K M term.
     """
 
     SWEEP = [  # (pearl, K, commands); mix and --vectors-out run on small necklaces
@@ -569,7 +577,10 @@ class TestMemoryEstimates:
         ("20", 16, "mix"),
         ("file", 1024, "spectrum limiting"),
         ("file", 32, "mix vectors"),
-        ("path", 128, "spectrum limiting"),
+        ("path41", 128, "spectrum limiting"),
+        ("path81", 256, "spectrum"),
+        ("path40", 1024, "spectrum"),
+        ("2", 16384, "spectrum gap-scan"),
     ]
     TERMS = [(False, 0), (False, 1), (True, 0), (True, 1), None]   # None: FIXED_BYTES
 
@@ -577,7 +588,8 @@ class TestMemoryEstimates:
     def runs(self, tmp_path_factory):
         """(peak bytes, the command's guard arguments) for every command of the sweep."""
         tmp = tmp_path_factory.mktemp("estimates")
-        (tmp / "path.json").write_text(json.dumps(PATH_PEARL))
+        for name, pearl in PATH_PEARLS.items():
+            (tmp / f"{name}.json").write_text(json.dumps(pearl))
         out = ["--output", str(tmp / "out.csv")]
         calls, original = [], cli._guard_memory
 
@@ -589,8 +601,8 @@ class TestMemoryEstimates:
         runs = []
         try:
             for name, K, commands in self.SWEEP:
-                if name == "path":
-                    source = ["--pearl-file", str(tmp / "path.json")]
+                if name in PATH_PEARLS:
+                    source = ["--pearl-file", str(tmp / f"{name}.json")]
                 else:
                     source = pearl_source(name, tmp)[0]
                 necklace = ["--K", str(K)]
