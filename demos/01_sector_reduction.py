@@ -42,7 +42,7 @@ def compare_routes(pearl, name, K):
     t0 = time.time()
     brute = brute_spectrum(assemble_hamiltonian(neck))
     t_brute = time.time() - t0
-    deviation = np.abs(spec.sorted_eigenvalues() - brute.eigenvalues).max()
+    deviation = np.abs(np.sort(spec.eigenvalues, axis=None) - brute.eigenvalues).max()
     print(
         f"  {name:10s} K={K:4d} N={neck.n_vertices:5d}: "
         f"max |sector - brute| = {deviation:.2e}  "
@@ -53,7 +53,7 @@ def compare_routes(pearl, name, K):
 def conjugate_pairing(K=9):
     print(f"\nSectors k and K-k share eigenvalues (K = {K}, d = 3 comb):")
     spec = full_spectrum(NecklaceSpec(make_comb_pearl(3), K))
-    table = spec.sector_table()
+    table = spec.eigenvalues
     for k in range(1, (K + 1) // 2):
         dev = np.abs(table[k] - table[K - k]).max()
         print(f"  k={k} vs k={K - k}: max eigenvalue difference {dev:.2e}")

@@ -38,7 +38,7 @@ def cos_constant_demo():
         (2, "d=2", 1 / math.sqrt(5)),
     ):
         spec = full_spectrum(NecklaceSpec(make_comb_pearl(d), 256))
-        branches = (0, spec.sector_table().shape[1] - 1)
+        branches = (0, spec.eigenvalues.shape[1] - 1)
         measured = min(cos_bound_constant(spec, n, n).c_measured for n in branches)
         print(f"  {label}: c_measured = {measured:.6f}  (sharp limit {target:.6f})")
     print("  any c > 0 certifies mixing in O(K ln^2 K / eps) time")

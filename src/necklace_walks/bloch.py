@@ -77,48 +77,29 @@ def _lift(y: np.ndarray, k: np.ndarray, K: int) -> np.ndarray:
 class FullSpectrum:
     """All K*M labeled eigenpairs of a necklace Hamiltonian, in Bloch form.
 
-    Entry a = k * M + n holds branch n of sector k.  ``sector_vectors[k][:, n]``
-    is its unit sector eigenvector, phase-fixed as in :mod:`necklace_walks.eig`.
-    ``vectors[:, a]`` is the eigenvector lifted to the necklace; together the
-    columns form an orthonormal basis, built from the sector vectors on
-    first read and then cached.
+    ``eigenvalues[k, n]`` is branch n of sector k, rows ascending, and
+    ``sector_vectors[k][:, n]`` its unit sector eigenvector, phase-fixed as in
+    :mod:`necklace_walks.eig`; other shapes are refused.  ``vectors[:, k * M + n]``
+    is the eigenvector lifted to the necklace; together the columns form an
+    orthonormal basis, built from the sector vectors on first read and then cached.
     """
 
     necklace: NecklaceSpec
-    eigenvalues: np.ndarray     # (K*M,), ordered by (k, n)
+    eigenvalues: np.ndarray     # (K, M)
     sector_vectors: np.ndarray  # (K, M, M) complex
 
-    @property
-    def k_index(self) -> np.ndarray:
-        """Momentum index k of each entry, shape (K*M,)."""
-        return np.repeat(np.arange(self.necklace.K), self.necklace.pearl.m)
-
-    @property
-    def n_index(self) -> np.ndarray:
-        """Branch index n of each entry, shape (K*M,)."""
-        return np.tile(np.arange(self.necklace.pearl.m), self.necklace.K)
+    def __post_init__(self):
+        K, M = self.necklace.K, self.necklace.pearl.m
+        if np.shape(self.eigenvalues) != (K, M) or np.shape(self.sector_vectors) != (K, M, M):
+            raise InvalidParameterError(
+                f"expected ({K}, {M}) eigenvalues and ({K}, {M}, {M}) sector vectors, got "
+                f"{np.shape(self.eigenvalues)} and {np.shape(self.sector_vectors)}")
 
     @functools.cached_property
     def vectors(self) -> np.ndarray:
         """The dense (N, K*M) lifted basis."""
         K = self.necklace.K
         return _lift(self.sector_vectors, np.arange(K), K)
-
-    @property
-    def size(self) -> int:
-        return len(self.eigenvalues)
-
-    def sector_table(self) -> np.ndarray:
-        """Eigenvalues reshaped to (K, M): row k holds sector k ascending."""
-        return self.eigenvalues.reshape(self.necklace.K, self.necklace.pearl.m)
-
-    def momenta(self) -> np.ndarray:
-        """Momentum p_k of every sector, shape (K,)."""
-        K = self.necklace.K
-        return 2.0 * math.pi * np.arange(K) / K
-
-    def sorted_eigenvalues(self) -> np.ndarray:
-        return np.sort(self.eigenvalues)
 
 
 @functools.lru_cache(maxsize=2)     # both forms of one pearl; gap_scan takes one pearl at a time
@@ -262,7 +243,7 @@ def full_spectrum(necklace: NecklaceSpec) -> FullSpectrum:
     values, vectors = _solve_half(necklace.pearl, K, vectors=True)
     return FullSpectrum(
         necklace=necklace,
-        eigenvalues=_mirror(values, K).ravel(),
+        eigenvalues=_mirror(values, K),
         sector_vectors=_mirror(fix_phases(vectors), K),
     )
 

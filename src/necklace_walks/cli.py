@@ -164,6 +164,8 @@ def _parse_start(text: str, necklace: NecklaceSpec) -> tuple[int, int]:
         raise _ConfigError(f"bad start argument {text!r}; expected J, J,base, J,tooth or J,M")
     kind = pieces[1].strip()
     if kind == "base":
+        if pearl.comb_spacing is None:              # only a comb or the cycle names its base
+            raise _ConfigError("this pearl has no base vertex")
         return j0 + 1, 1
     if kind == "tooth":
         if not pearl.comb_spacing:                  # None, or 0 for the one-vertex cycle
@@ -280,15 +282,15 @@ def cmd_spectrum(args) -> int:
         # The eigenvector solve; each record's lambda is the one solved with its vector.
         spec = full_spectrum(necklace)
         vectors = spec.vectors
-        k_index, n_index = spec.k_index.tolist(), spec.n_index.tolist()
         with open(args.vectors_out, "w", encoding="utf-8", newline="") as handle:
             # One record at a time, laid out as json.dump(records, indent=1) lays out the list.
             handle.write("[\n")
-            for a in range(spec.size):
+            for a in range(K * M):
+                k, n = divmod(a, M)
                 record = {
-                    "k": k_index[a],
-                    "n": n_index[a],
-                    "lambda": float(spec.eigenvalues[a]),
+                    "k": k,
+                    "n": n,
+                    "lambda": float(spec.eigenvalues[k, n]),
                     "vector_re": vectors[:, a].real.tolist(),
                     "vector_im": vectors[:, a].imag.tolist(),
                 }
@@ -345,9 +347,8 @@ def cmd_mix(args) -> int:
     if args.cos_bound_c is not None:
         finite_above(args.cos_bound_c, "--cos-bound-c")
     M = necklace.pearl.m
-    # The pair tables take PAIR_CHUNK_BYTES, or one q's when that is more:
-    # dynamics counts (52 M + 100) bytes a pair and M^2 (K//2 + 1) pairs a q.
-    tables = max(dynamics.PAIR_CHUNK_BYTES, (52 * M + 100) * M * M * (K // 2 + 1))
+    # The pair tables take PAIR_CHUNK_BYTES, or one q's when that is more.
+    tables = max(dynamics.PAIR_CHUNK_BYTES, dynamics._q_table_bytes(K, M))
     _guard_memory(K, M, tables + 40 * points * necklace.n_vertices, vectors=True)
     spec = full_spectrum(necklace)
     phi0 = dynamics.vertex_state(necklace, j_start, m_start)
@@ -402,12 +403,12 @@ def _oracle_checks(necklace: NecklaceSpec) -> dict:
     brute = oracle.brute_spectrum(h)
     record(
         "spectrum_match",
-        np.abs(spec.sorted_eigenvalues() - brute.eigenvalues).max(),
+        np.abs(np.sort(spec.eigenvalues, axis=None) - brute.eigenvalues).max(),
         1e-9,
     )
-    residual = h @ spec.vectors - spec.vectors * spec.eigenvalues[None, :]
+    residual = h @ spec.vectors - spec.vectors * spec.eigenvalues.reshape(1, -1)
     record("eigenvector_residual", np.abs(residual).max(), 1e-9)
-    gram = spec.vectors.conj().T @ spec.vectors - np.eye(spec.size)
+    gram = spec.vectors.conj().T @ spec.vectors - np.eye(necklace.n_vertices)
     record("basis_gram", np.abs(gram).max(), 1e-9)
 
     phi0 = dynamics.vertex_state(necklace, 1, 1)

@@ -49,6 +49,11 @@ PAIR_CHUNK_BYTES = 1 << 21
 PHASE_CHUNK_BYTES = 1 << 19
 
 
+def _q_table_bytes(K: int, M: int) -> int:
+    """Most bytes one q's M^2 (K//2 + 1) pair tables and temporaries take: 52 M + 100 a pair."""
+    return (52 * M + 100) * M * M * (K // 2 + 1)
+
+
 def vertex_state(necklace: NecklaceSpec, j: int, m: int) -> np.ndarray:
     """Unit state concentrated on vertex (j, m), 1-based."""
     phi = np.zeros(necklace.n_vertices, dtype=complex)
@@ -104,12 +109,14 @@ class DegeneracyPartition:
 def degeneracy_partition(eigenvalues: np.ndarray, tau_deg: float | None) -> DegeneracyPartition:
     """Partition eigenvalue indices by a sorted sweep with threshold ``tau_deg``.
 
-    Adjacent sorted values closer than ``tau_deg`` share a group; None takes
-    :func:`default_degeneracy_tolerance`.  If some
-    cross-group gap falls within a factor 10 of ``tau_deg`` the grouping is
-    ambiguous: an :class:`AmbiguousDegeneracyWarning` is emitted and the
-    partition is flagged.
+    A (K, M) table is read flattened: its members are k * M + n.  Adjacent
+    sorted values closer than ``tau_deg`` share a group; None takes
+    :func:`default_degeneracy_tolerance`.  If some cross-group gap falls
+    within a factor 10 of ``tau_deg`` the grouping is ambiguous: an
+    :class:`AmbiguousDegeneracyWarning` is emitted and the partition is
+    flagged.
     """
+    eigenvalues = np.ravel(eigenvalues)
     tau_deg = resolve_tau_deg(eigenvalues, tau_deg)
     order = np.argsort(eigenvalues, kind="stable")
     steps = np.diff(eigenvalues[order])
@@ -172,7 +179,7 @@ def probability_at_time(spec: FullSpectrum, phi0: np.ndarray, t: float) -> np.nd
     """
     finite_above(t, "time", or_equal=True)
     c = _sector_overlaps(spec, _check_state(phi0, spec.necklace.n_vertices))
-    c *= np.exp(-1j * spec.eigenvalues * t).reshape(c.shape)
+    c *= np.exp(-1j * spec.eigenvalues * t)
     a = np.einsum("kmn,kn->km", spec.sector_vectors, c)
     psi = np.roll(np.fft.ifft(a, axis=0), -1, axis=0) * math.sqrt(len(a))   # row 0 is pearl 1
     return _finalize_distribution(np.abs(psi.ravel()) ** 2)
@@ -181,7 +188,7 @@ def probability_at_time(spec: FullSpectrum, phi0: np.ndarray, t: float) -> np.nd
 class _PairAverager:
     """Dense reference for the pair sums, over any orthonormal eigenbasis.
 
-    ``vectors[:, a]`` is the eigenvector of ``eigenvalues[a]``.  Holds
+    ``vectors[:, a]`` is the eigenvector of flat entry a of ``eigenvalues``.  Holds
     W[x, a] = psi_a[x] * <psi_a|phi_0>, the degeneracy partition, the
     limiting distribution and the gap-sum entering the convergence bound.
     It needs O(N^2) memory and an N^3 product per T; the package's own
@@ -191,6 +198,7 @@ class _PairAverager:
     def __init__(self, eigenvalues: np.ndarray, vectors: np.ndarray, phi0: np.ndarray,
                  tau_deg: float | None):
         phi = _check_state(phi0, len(vectors))
+        eigenvalues = np.ravel(eigenvalues)
         self.partition = degeneracy_partition(eigenvalues, tau_deg)
         self.overlaps = vectors.conj().T @ phi
         self.weights = vectors * self.overlaps[None, :]   # (N, A)
@@ -261,7 +269,7 @@ class _SectorAverager:
         phi = _check_state(phi0, spec.necklace.n_vertices)
         self.partition = degeneracy_partition(spec.eigenvalues, tau_deg)
         self.K, self.M, self.half = K, M, K // 2 + 1
-        self.lam = spec.eigenvalues.reshape(K, M)
+        self.lam = spec.eigenvalues
         if not np.array_equal(self.lam[1:], self.lam[:0:-1]):
             raise InvalidParameterError("sector K-k must repeat the eigenvalues of sector k")
         self.gid = self.partition.group_id.reshape(K, M)
@@ -404,8 +412,7 @@ class _SectorAverager:
         del u
         behind = np.take(ahead, np.abs(np.arange(-r_max, h)), axis=2)
         np.conjugate(behind, out=behind)
-        # A chunk's tables and their build temporaries take at most about 52 M + 100 bytes a pair.
-        q_step = max(1, PAIR_CHUNK_BYTES // ((52 * M + 100) * M * M * h))
+        q_step = max(1, PAIR_CHUNK_BYTES // _q_table_bytes(K, M))
         s = np.empty((h, len(times), M), dtype=complex)
         for parity in (0, 1):
             for q0 in range(parity, h, 2 * q_step):

@@ -27,9 +27,12 @@ from .parallel import ordered_map
 
 
 def min_nonzero_gap(eigenvalues: np.ndarray, tau_deg: float) -> float:
-    """Smallest adjacent difference exceeding ``tau_deg`` in the sorted spectrum."""
+    """Smallest adjacent difference exceeding ``tau_deg`` in the sorted spectrum.
+
+    A (K, M) sector table is read flattened: the gap is over all its sectors.
+    """
     finite_above(tau_deg, "tau_deg")
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
+    eigenvalues = np.ravel(np.asarray(eigenvalues, dtype=float))
     if len(eigenvalues) < 2:
         raise InvalidParameterError("need at least two eigenvalues")
     diffs = np.diff(np.sort(eigenvalues))
@@ -52,7 +55,7 @@ class CosBoundReport:
 
 def _branch_table(spec: FullSpectrum, n: int, m: int) -> np.ndarray:
     """The (K, M) sector table, once branch labels n and m are checked against M."""
-    table = spec.sector_table()
+    table = spec.eigenvalues
     branches = table.shape[1]
     if not (0 <= n < branches and 0 <= m < branches):
         raise InvalidParameterError(f"branch labels ({n}, {m}) outside 0..{branches - 1}")
@@ -79,13 +82,14 @@ def cos_bound_constant(
     and identical sectors.
     """
     table = _branch_table(spec, n, m)
-    tau_deg = resolve_tau_deg(spec.eigenvalues, tau_deg)
+    tau_deg = resolve_tau_deg(table, tau_deg)
     if not _branch_ranges_disjoint(table, tau_deg):
         raise InvalidParameterError(
             "branch eigenvalue ranges overlap; ascending-order branch labels "
             "are unreliable for this pearl"
         )
-    cosines = np.cos(spec.momenta())
+    K = spec.necklace.K
+    cosines = np.cos(2.0 * math.pi * np.arange(K) / K)
     lam_n = table[:, n]
     lam_m = table[:, m]
     dcos = np.abs(cosines[:, None] - cosines[None, :])
@@ -182,7 +186,7 @@ def gap_scan(d_list, k_list) -> tuple[list[GapScanRecord], dict[int, float]]:
         for k in members:
             # Rows k and K-k are bit-identical, so rows 0..K//2 hold every
             # distinct value; row k of K is row k * head / K of the head.
-            values = table[: head // 2 + 1 : head // k].ravel()
+            values = table[: head // 2 + 1 : head // k]
             tau = default_degeneracy_tolerance(values)
             chain.append(GapScanRecord(d=d, K=k, min_gap=min_nonzero_gap(values, tau),
                                        tau_deg=tau))

@@ -145,19 +145,19 @@ class TestLift:
 class TestFullSpectrum:
     def test_cycle_k4_multiset(self):
         spec = full_spectrum(NecklaceSpec(make_cycle_pearl(), 4))
-        assert np.abs(spec.sorted_eigenvalues() - [-2.0, 0.0, 0.0, 2.0]).max() < 1e-12
+        assert np.abs(np.sort(spec.eigenvalues, axis=None) - [-2.0, 0.0, 0.0, 2.0]).max() < 1e-12
 
     def test_cycle_exact_cosines(self):
         K = 12
         spec = full_spectrum(NecklaceSpec(make_cycle_pearl(), K))
         expected = 2 * np.cos(2 * np.pi * np.arange(K) / K)
-        assert np.abs(spec.eigenvalues - expected).max() < 1e-12
+        assert np.abs(spec.eigenvalues[:, 0] - expected).max() < 1e-12
 
     def test_comb1_even_k_spectrum_symmetric(self):
         # even-K combs are bipartite, so the spectrum mirrors around zero;
         # odd K contains an odd ring and the symmetry genuinely fails
         spec = full_spectrum(NecklaceSpec(make_comb_pearl(1), 6))
-        vals = spec.sorted_eigenvalues()
+        vals = np.sort(spec.eigenvalues, axis=None)
         assert len(vals) == 12
         assert np.abs(vals + vals[::-1]).max() < 1e-12
 
@@ -168,19 +168,19 @@ class TestFullSpectrum:
             [1 - np.sqrt(2), 1 + np.sqrt(2)]
             + 2 * [-0.5 - np.sqrt(1.25), -0.5 + np.sqrt(1.25)]
         )
-        assert np.abs(spec.sorted_eigenvalues() - expected).max() < 1e-12
+        assert np.abs(np.sort(spec.eigenvalues, axis=None) - expected).max() < 1e-12
 
     def test_matches_brute_force(self, custom_pearl):
         for pearl, K in ((make_comb_pearl(2), 6), (custom_pearl, 5)):
             neck = NecklaceSpec(pearl, K)
             spec = full_spectrum(neck)
             brute = brute_spectrum(assemble_hamiltonian(neck))
-            assert np.abs(spec.sorted_eigenvalues() - brute.eigenvalues).max() < 1e-9
+            assert np.abs(np.sort(spec.eigenvalues, axis=None) - brute.eigenvalues).max() < 1e-9
 
     def test_conjugate_sector_pairing(self, custom_pearl):
         for K in (7, 8):
             spec = full_spectrum(NecklaceSpec(custom_pearl, K))
-            table = spec.sector_table()
+            table = spec.eigenvalues
             for k in range(1, K):
                 if 2 * k == K:
                     continue
@@ -189,13 +189,20 @@ class TestFullSpectrum:
     def test_lifted_basis_orthonormal(self, custom_pearl):
         spec = full_spectrum(NecklaceSpec(custom_pearl, 5))
         gram = spec.vectors.conj().T @ spec.vectors
-        assert np.abs(gram - np.eye(spec.size)).max() <= 1e-9
+        assert np.abs(gram - np.eye(spec.necklace.n_vertices)).max() <= 1e-9
+
+    def test_refuses_arrays_not_shaped_by_sector(self):
+        spec = full_spectrum(NecklaceSpec(make_comb_pearl(2), 5))
+        with pytest.raises(InvalidParameterError, match=r"\(5, 3\) eigenvalues"):
+            replace(spec, eigenvalues=spec.eigenvalues.ravel())
+        with pytest.raises(InvalidParameterError, match=r"\(5, 3, 3\) sector vectors"):
+            replace(spec, sector_vectors=spec.sector_vectors[:, :2])
 
     def test_residuals(self):
         neck = NecklaceSpec(make_comb_pearl(3), 5)
         spec = full_spectrum(neck)
         h = assemble_hamiltonian(neck)
-        residual = h @ spec.vectors - spec.vectors * spec.eigenvalues[None, :]
+        residual = h @ spec.vectors - spec.vectors * spec.eigenvalues.reshape(1, -1)
         assert np.linalg.norm(residual, axis=0).max() <= 1e-9
 
 
@@ -252,7 +259,7 @@ class TestSectorUnionProperty:
         neck = NecklaceSpec(pearl, K)
         spec = full_spectrum(neck)
         brute = brute_spectrum(assemble_hamiltonian(neck))
-        assert np.abs(spec.sorted_eigenvalues() - brute.eigenvalues).max() < 1e-9
+        assert np.abs(np.sort(spec.eigenvalues, axis=None) - brute.eigenvalues).max() < 1e-9
 
 
 def fix_phases_by_column(vectors, band=1e-6):
@@ -272,14 +279,16 @@ def fix_phases_by_column(vectors, band=1e-6):
 def assert_matches_sector_spectra(pearl, K, sectors=None):
     """Stacked half-spectrum solve against one sector_spectrum per sector.
 
-    Eigenvalues agree to 1e-12.  A simple sector eigenvalue has a unique
-    phase-fixed vector, compared to 1e-9; a degenerate cluster compares
-    its eigenspace projector.  ``sectors`` limits the per-sector
-    comparison (default: every k); the stacked tables are compared whole.
+    Both solves give (K, M) eigenvalue tables, equal to 1e-12.  A simple
+    sector eigenvalue has a unique phase-fixed vector, compared to 1e-9; a
+    degenerate cluster compares its eigenspace projector.  ``sectors``
+    limits the per-sector comparison (default: every k); the stacked
+    tables are compared whole.
     """
     spec = full_spectrum(NecklaceSpec(pearl, K))
-    table = spec.sector_table()
-    assert np.abs(all_sector_eigenvalues(NecklaceSpec(pearl, K)) - table).max() < 1e-12
+    table, only_values = spec.eigenvalues, all_sector_eigenvalues(NecklaceSpec(pearl, K))
+    assert table.shape == only_values.shape == (K, pearl.m)
+    assert np.abs(only_values - table).max() < 1e-12
     for k in range(K) if sectors is None else sectors:
         ref = sector_spectrum(pearl, k, K)
         assert np.abs(table[k] - ref.eigenvalues).max() < 1e-12
@@ -301,7 +310,7 @@ def assert_conjugate_rows_bitwise_equal(pearl, K):
     """Rows k and K-k of both sector tables are equal bit for bit, vectors conjugate."""
     neck = NecklaceSpec(pearl, K)
     spec = full_spectrum(neck)
-    table, only_values = spec.sector_table(), all_sector_eigenvalues(neck)
+    table, only_values = spec.eigenvalues, all_sector_eigenvalues(neck)
     for k in range(1, K):
         assert np.array_equal(table[k], table[K - k])
         assert np.array_equal(only_values[k], only_values[K - k])
@@ -336,7 +345,7 @@ class TestStackedSpectrum:
         terms, n = bloch._sector_terms(plain, True)
         assert terms.dtype == float and n == d
         assert_matches_sector_spectra(plain, 41)
-        references = {K: full_spectrum(NecklaceSpec(plain, K)).sector_table() for K in (3, 8, 600)}
+        references = {K: full_spectrum(NecklaceSpec(plain, K)).eigenvalues for K in (3, 8, 600)}
 
         def refuse(*args):
             raise AssertionError("the eigenvalue-only solve built the complex stack")
@@ -394,8 +403,8 @@ class TestStackedSpectrum:
         spec = full_spectrum(NecklaceSpec(custom_pearl, K))
         vectors = spec.vectors
         assert spec.vectors is vectors                    # built once, then cached
-        for a in range(spec.size):
-            k, n = spec.k_index[a], spec.n_index[a]
+        for a in range(K * custom_pearl.m):
+            k, n = divmod(a, custom_pearl.m)
             lifted = lift(spec.sector_vectors[k][:, n], k, K)
             assert np.array_equal(vectors[:, a], lifted)
 

@@ -150,7 +150,7 @@ class TestSpectrumCommand:
         code, out, _ = run_cli(["spectrum", *source, "--K", str(K)], capsys)
         assert code == 0
         printed = [r[2] for r in csv_rows(out)[0]]
-        solved = full_spectrum(NecklaceSpec(pearl, K)).eigenvalues
+        solved = full_spectrum(NecklaceSpec(pearl, K)).eigenvalues.ravel()
         assert np.abs(np.array(printed, dtype=float) - solved).max() <= 1e-14
         if name in ("0", "1"):        # the cycle and the d = 1 comb print the same text
             assert printed == [f"{v:.15g}" for v in solved]
@@ -212,8 +212,12 @@ class TestLimitingCommand:
         (["--cycle"], "0,tooth", "this pearl has no tooth vertex"),
         (["--comb-d", "1"], "0,q", "bad start vertex 'q'"),
         (["--comb-d", "1"], "0,5", "start vertex 5 outside 0..1"),
+        (["--pearl-file"], "0,base", "this pearl has no base vertex"),
     ])
-    def test_start_refusals(self, source, start, message, capsys):
+    def test_start_refusals(self, source, start, message, capsys, tmp_path):
+        if source == ["--pearl-file"]:          # the 3-vertex path: neither comb nor cycle
+            (tmp_path / "path3.json").write_text(json.dumps(path_pearl(3)))
+            source = ["--pearl-file", str(tmp_path / "path3.json")]
         code, out, err = run_cli(["limiting", *source, "--K", "8", "--start", start], capsys)
         assert code == 1
         assert out == ""

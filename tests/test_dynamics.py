@@ -13,6 +13,7 @@ from necklace_walks import (
     InvalidParameterError,
     NecklaceSpec,
     NumericalFailureError,
+    all_sector_eigenvalues,
     assemble_hamiltonian,
     cycle_limiting,
     default_degeneracy_tolerance,
@@ -60,6 +61,14 @@ class TestDegeneracyPartition:
 
     def test_default_tolerance_scale(self):
         assert default_degeneracy_tolerance(np.array([-2.0, 1.0])) == pytest.approx(2e-8)
+
+    @pytest.mark.parametrize("tau", [None, 1e-9])
+    def test_a_sector_by_branch_table_partitions_as_its_ravel(self, tau):
+        table = all_sector_eigenvalues(NecklaceSpec(make_comb_pearl(2), 12))
+        part, flat = degeneracy_partition(table, tau), degeneracy_partition(table.ravel(), tau)
+        assert np.array_equal(part.members, flat.members)       # flat indices k * M + n
+        assert np.array_equal(part.bounds, flat.bounds)
+        assert part.tau_deg == flat.tau_deg
 
 
 class TestProbabilityAtTime:
@@ -114,7 +123,7 @@ class TestProbabilityAtTime:
 def dense_probability(spec, phi, t):
     """p(t) over the lifted basis: the dense reference for the Bloch-form route."""
     overlaps = spec.vectors.conj().T @ phi
-    return np.abs(spec.vectors @ (np.exp(-1j * spec.eigenvalues * t) * overlaps)) ** 2
+    return np.abs(spec.vectors @ (np.exp(-1j * spec.eigenvalues.ravel() * t) * overlaps)) ** 2
 
 
 EVOLUTION_TIMES = (0.0, 0.7, 1000.3)
@@ -292,11 +301,11 @@ class TestConvergenceBound:
     def test_eigenvector_start_single_overlap(self):
         _, spec, _ = cycle_setup(16)
         psi = spec.vectors[:, 0]
-        gaps = np.abs(spec.eigenvalues - spec.eigenvalues[0])
+        gaps = np.abs(spec.eigenvalues - spec.eigenvalues[0, 0])
         gap = gaps[gaps > 1e-8].min()
         T = 100.0
         bound = tv_convergence_bound(spec, psi, T)
-        assert bound <= 2.0 * spec.size / (T * gap) + 1e-12
+        assert bound <= 2.0 * gaps.size / (T * gap) + 1e-12
 
     def test_dominance_comb_k16(self):
         neck = NecklaceSpec(make_comb_pearl(1), 16)
@@ -654,9 +663,9 @@ class TestGridRoute:
         # which the factored phase would lose about eps / (1e-6 T).
         neck = NecklaceSpec(make_comb_pearl(1), 12)
         spec = full_spectrum(neck)
-        lam = spec.eigenvalues.reshape(12, 2).copy()
+        lam = spec.eigenvalues.copy()
         lam[[2, 10], 0] = lam[3, 0] + 1e-6
-        moved = FullSpectrum(neck, lam.ravel(), spec.sector_vectors)
+        moved = FullSpectrum(neck, lam, spec.sector_vectors)
         phi = vertex_state(neck, 1, 1)
         sector = mixing_time(moved, phi, 0.1, t_hi=1e5, t_lo=1e-6, ratio=1.2)
         tvs, t_mix, _ = dense_mixing(moved, phi, sector)
@@ -775,7 +784,7 @@ class TestMirrorFold:
         neck = NecklaceSpec(make_comb_pearl(1), 8)
         spec = full_spectrum(neck)
         values = spec.eigenvalues.copy()
-        values[2 * 3] = np.nextafter(values[2 * 3], np.inf)        # sector 3, not sector 5
+        values[3, 0] = np.nextafter(values[3, 0], np.inf)          # sector 3, not sector 5
         broken = FullSpectrum(spec.necklace, values, spec.sector_vectors)
         with pytest.raises(InvalidParameterError):
             limiting_distribution(broken, vertex_state(neck, 1, 1))

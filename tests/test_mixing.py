@@ -61,6 +61,14 @@ class TestMinNonzeroGap:
             min_nonzero_gap(brute_vals, tau), abs=1e-10
         )
 
+    def test_a_sector_by_branch_table_is_read_across_its_sectors(self):
+        # Within one d = 1 sector the two branches are at least 2 apart; the
+        # smallest gap lies between sectors.
+        table = all_sector_eigenvalues(NecklaceSpec(make_comb_pearl(1), 16))
+        assert table.shape == (16, 2)
+        assert min_nonzero_gap(table, 1e-9) == min_nonzero_gap(table.ravel(), 1e-9)
+        assert f"{min_nonzero_gap(table, 1e-9):.15g}" == "0.0233595817053239"
+
     def test_fully_degenerate(self):
         with pytest.raises(DegenerateSpectrumError):
             min_nonzero_gap(np.array([1.0, 1.0 + 1e-12]), 1e-8)
@@ -97,9 +105,9 @@ class TestCosBoundConstant:
     def test_rejects_overlapping_branch_bands(self):
         # Sector 0's lower eigenvalue moved 0.5 above the upper band's minimum.
         spec = full_spectrum(NecklaceSpec(make_comb_pearl(1), 8))
-        table = spec.sector_table().copy()
+        table = spec.eigenvalues.copy()
         table[0, 0] = table[:, 1].min() + 0.5
-        spec = dataclasses.replace(spec, eigenvalues=table.ravel())
+        spec = dataclasses.replace(spec, eigenvalues=table)
         with pytest.raises(InvalidParameterError, match="branch eigenvalue ranges overlap"):
             cos_bound_constant(spec, 0, 0)
 
@@ -107,7 +115,7 @@ class TestCosBoundConstant:
         # Star pearl: branch 1 tops out near 4e-16 and branch 2 starts at 0.0.
         pearl = make_custom_pearl(4, [(1, 3), (2, 3), (3, 4)], 1, 3)
         spec = full_spectrum(NecklaceSpec(pearl, 8))
-        table = spec.sector_table()
+        table = spec.eigenvalues
         assert table[:, 1].max() > table[:, 2].min()
         for n, m in ((0, 3), (0, 1), (2, 3)):
             assert cos_bound_constant(spec, n, m).pair_count > 0
