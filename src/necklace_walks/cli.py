@@ -180,11 +180,12 @@ def _parse_start(text: str, necklace: NecklaceSpec) -> tuple[int, int]:
     return j0 + 1, m0 + 1
 
 
-def _necklace_from_args(args) -> NecklaceSpec:
+def _necklace_from_args(args, vectors: bool = False, extra=lambda K, M: 0) -> NecklaceSpec:
     """The necklace of a single-K command: exactly one pearl source and one --K value.
 
-    ``--K``, and the memory a ``--comb-d`` necklace needs, are checked before
-    the pearl is built: a comb pearl's d edges take memory of their own.
+    The command's memory is priced here, once, from (K, M) before its comb
+    pearl is built (its d edges take memory of their own): ``vectors`` picks
+    the solve route and ``extra(K, M)`` gives the command's own bytes.
     """
     if args.cycle + (args.comb_d is not None) + (args.pearl_file is not None) != 1:
         raise _ConfigError(
@@ -198,12 +199,13 @@ def _necklace_from_args(args) -> NecklaceSpec:
     except ValueError as exc:
         raise _ConfigError(f"bad --K value {args.K!r}") from exc
     necklace = NecklaceSpec(make_cycle_pearl(), K)      # refuses K < 3
-    if args.cycle:
-        return necklace
     if args.pearl_file is not None:
-        return replace(necklace, pearl=load_pearl_file(args.pearl_file))
-    if args.comb_d >= 1:                                # make_comb_pearl refuses a smaller d
-        _guard_memory(K, args.comb_d + 1)
+        necklace = replace(necklace, pearl=load_pearl_file(args.pearl_file))
+    # A d < 1 is priced as the cycle; make_comb_pearl then refuses it.
+    M = necklace.pearl.m if args.comb_d is None else max(args.comb_d, 0) + 1
+    _guard_memory(K, M, extra(K, M), vectors)
+    if args.comb_d is None:
+        return necklace
     return replace(necklace, pearl=make_comb_pearl(args.comb_d))
 
 
@@ -263,17 +265,15 @@ def _add_necklace(parser: argparse.ArgumentParser, start: bool = False) -> None:
         parser.add_argument("--start", required=True,
                             help="start vertex: J | J,base | J,tooth | J,M (0-based)")
         parser.add_argument("--tau-deg", type=float, default=None,
-                            help="degeneracy tolerance, positive and finite (default: 1e-8 * "
-                                 "max |lambda|; known too coarse for d=1 at K=16384 and for "
-                                 "d>=3 from K=2048 (d=8), 2896 (d=5) and 4096 (d=3))")
+                            help="degeneracy tolerance, positive and finite (default: "
+                                 "4096 eps * max |lambda|, solver precision)")
 
 
 def cmd_spectrum(args) -> int:
-    necklace = _necklace_from_args(args)
-    K, M = necklace.K, necklace.pearl.m
     # --vectors-out adds the eigenvector solve and the lifted basis, filled in place.
     dump = args.vectors_out is not None
-    _guard_memory(K, M, 16 * necklace.n_vertices ** 2 if dump else 0, vectors=dump)
+    necklace = _necklace_from_args(args, dump, lambda K, M: 16 * (K * M) ** 2 if dump else 0)
+    K, M = necklace.K, necklace.pearl.m
     # Row K-k repeats row k bit for bit; _format_column formats each distinct value once.
     table = _format_column(all_sector_eigenvalues(necklace))
     lines = _rows(_labels(K)[:, None], _labels(M), table)
@@ -301,23 +301,21 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_limiting(args) -> int:
-    necklace = _necklace_from_args(args)
+    necklace = _necklace_from_args(args, vectors=True)
     pearl = necklace.pearl
     j_start, m_start = _parse_start(args.start, necklace)
     if args.tau_deg is not None:                      # refused before the solve, not after it
         finite_above(args.tau_deg, "tau_deg")
-    _guard_memory(necklace.K, pearl.m, vectors=True)
-    spec = full_spectrum(necklace)
-    phi0 = dynamics.vertex_state(necklace, j_start, m_start)
-    pi = dynamics.limiting_distribution(spec, phi0, tau_deg=args.tau_deg)
-
     closed = None
-    if args.closed_form:
+    if args.closed_form:                              # refused, or computed, before the solve
         if pearl.comb_spacing != 1:
             raise _ConfigError("--closed-form is only available for the d = 1 comb (--comb-d 1)")
         closed = comb_analytics.comb1_limiting_distribution(
             necklace.K, pearl.vertex_kind(m_start), j_start
         )
+    spec = full_spectrum(necklace)
+    phi0 = dynamics.vertex_state(necklace, j_start, m_start)
+    pi = dynamics.limiting_distribution(spec, phi0, tau_deg=args.tau_deg)
 
     # One row per vertex, in array order: pearl j outer, in-pearl m inner.
     K, M = necklace.K, pearl.m
@@ -335,10 +333,12 @@ def cmd_limiting(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    necklace = _necklace_from_args(args)
+    points = len(dynamics.geometric_grid(args.T_lo, args.T_hi))
+    # The pair tables take PAIR_CHUNK_BYTES, or one q's when that is more.
+    necklace = _necklace_from_args(args, True, lambda K, M: 40 * points * K * M + max(
+        dynamics.PAIR_CHUNK_BYTES, dynamics._q_table_bytes(K, M)))
     K = necklace.K
     j_start, m_start = _parse_start(args.start, necklace)
-    points = len(dynamics.geometric_grid(args.T_lo, args.T_hi))
     # The library's checks of these values, made before the solve instead of after it.
     if not 0.0 < args.eps <= 2.0:
         raise _ConfigError(f"epsilon must lie in (0, 2], got {args.eps}")
@@ -346,10 +346,6 @@ def cmd_mix(args) -> int:
         finite_above(args.tau_deg, "tau_deg")
     if args.cos_bound_c is not None:
         finite_above(args.cos_bound_c, "--cos-bound-c")
-    M = necklace.pearl.m
-    # The pair tables take PAIR_CHUNK_BYTES, or one q's when that is more.
-    tables = max(dynamics.PAIR_CHUNK_BYTES, dynamics._q_table_bytes(K, M))
-    _guard_memory(K, M, tables + 40 * points * necklace.n_vertices, vectors=True)
     spec = full_spectrum(necklace)
     phi0 = dynamics.vertex_state(necklace, j_start, m_start)
 
@@ -443,7 +439,7 @@ def _oracle_checks(necklace: NecklaceSpec) -> dict:
 
 
 def cmd_oracle_check(args) -> int:
-    necklace = _necklace_from_args(args)
+    necklace = _necklace_from_args(args, vectors=True)
     if necklace.n_vertices > oracle.EVOLVE_MAX_DIM:
         raise _ConfigError(f"oracle-check caps at {oracle.EVOLVE_MAX_DIM} vertices, "
                            f"got {necklace.n_vertices}")

@@ -62,15 +62,15 @@ def vertex_state(necklace: NecklaceSpec, j: int, m: int) -> np.ndarray:
 
 
 def default_degeneracy_tolerance(eigenvalues: np.ndarray) -> float:
-    """Default tolerance 1e-8 * max|lambda|.
+    """Default tolerance 4096 eps * max|lambda|, about 9.1e-13 * max|lambda|.
 
-    Exact degeneracies reproduce to solver precision (~1e-12 absolute), but
-    genuine gaps shrink like 1/K^2: the d=1 comb's smallest gap is below this
-    at K=16384, and d>=3 gaps come within 10x of it (ambiguous) from K=2048
-    (d=8), 2896 (d=5) and 4096 (d=3).
+    Solver precision: the ties that symmetry forces are bit-exact in both
+    solves, and a backward-stable eigh moves a value by O(M eps max|lambda|)
+    (Weyl), far below the genuine 1/K^2 gaps (the d=1 comb's is 1.3e-9 at
+    K=65536).  It reads max|lambda| only, so a table and its ravel agree.
     """
-    scale = float(np.abs(eigenvalues).max()) if len(eigenvalues) else 0.0
-    return 1e-8 * (scale if scale > 0.0 else 1.0)
+    scale = float(np.abs(eigenvalues).max()) if np.size(eigenvalues) else 0.0
+    return 4096 * float(np.finfo(float).eps) * (scale if scale > 0.0 else 1.0)
 
 
 def resolve_tau_deg(eigenvalues: np.ndarray, tau_deg: float | None) -> float:

@@ -45,6 +45,14 @@ def no_solve(monkeypatch):
     monkeypatch.setattr(mixing, "gap_scan", refuse)
 
 
+@pytest.fixture
+def path3_source(tmp_path):
+    """--pearl-file of the 3-vertex path with roots at its ends: neither comb nor cycle."""
+    path = tmp_path / "path3.json"
+    path.write_text(json.dumps(path_pearl(3)))
+    return ["--pearl-file", str(path)]
+
+
 def csv_rows(text):
     lines = [l for l in text.strip().split("\n") if not l.startswith("#")]
     return [line.split(",") for line in lines[1:]], lines[0]
@@ -183,12 +191,15 @@ class TestLimitingCommand:
         deviation = float(footer[0].split("=")[1])
         assert deviation <= 1e-9
 
-    def test_closed_form_rejected_off_comb1(self, capsys):
-        code, _, err = run_cli(
-            ["limiting", "--cycle", "--K", "8", "--start", "0", "--closed-form"],
-            capsys,
-        )
+    @pytest.mark.parametrize("source", [["--cycle"], ["--comb-d", "2"], ["--pearl-file"]],
+                             ids=["cycle", "comb2", "path3"])
+    def test_closed_form_rejected_off_comb1(self, source, no_solve, path3_source, capsys):
+        # Refused before the solve: no_solve fails any run that reaches full_spectrum.
+        source = path3_source if source == ["--pearl-file"] else source
+        code, out, err = run_cli(["limiting", *source, "--K", "8", "--start", "0",
+                                  "--closed-form"], capsys)
         assert code == 1
+        assert out == ""
         assert "comb-d 1" in err
 
     def test_tooth_start(self, capsys):
@@ -214,10 +225,8 @@ class TestLimitingCommand:
         (["--comb-d", "1"], "0,5", "start vertex 5 outside 0..1"),
         (["--pearl-file"], "0,base", "this pearl has no base vertex"),
     ])
-    def test_start_refusals(self, source, start, message, capsys, tmp_path):
-        if source == ["--pearl-file"]:          # the 3-vertex path: neither comb nor cycle
-            (tmp_path / "path3.json").write_text(json.dumps(path_pearl(3)))
-            source = ["--pearl-file", str(tmp_path / "path3.json")]
+    def test_start_refusals(self, source, start, message, capsys, path3_source):
+        source = path3_source if source == ["--pearl-file"] else source
         code, out, err = run_cli(["limiting", *source, "--K", "8", "--start", start], capsys)
         assert code == 1
         assert out == ""
@@ -508,7 +517,7 @@ class TestMemoryGuard:
         assert out == ""
         assert "GiB of physical memory" in err
 
-    @pytest.mark.parametrize("command", ["spectrum", "oracle-check"])
+    @pytest.mark.parametrize("command", ["spectrum", "oracle-check", "limiting", "mix"])
     def test_a_huge_comb_d_exits_one_before_the_pearl_is_built(self, command, no_solve,
                                                              monkeypatch, capsys):
         # At about 290 bytes an edge, this pearl alone would take some 29 GB.
@@ -516,10 +525,25 @@ class TestMemoryGuard:
             raise AssertionError("the comb pearl was built before the memory guard")
 
         monkeypatch.setattr(cli, "make_comb_pearl", refuse)
-        code, out, err = run_cli([command, "--comb-d", "100000000", "--K", "3"], capsys)
+        start = {"limiting": ["--start", "0"], "mix": ["--start", "0", "--eps", "0.1"]}
+        code, out, err = run_cli([command, "--comb-d", "100000000", "--K", "3",
+                                  *start.get(command, [])], capsys)
         assert code == 1
         assert out == ""
         assert "K=3 with M=100000001" in err and "GiB of physical memory" in err
+
+    @pytest.mark.parametrize("source, M", [(["--cycle"], 1), (["--comb-d", "2"], 3),
+                                           (["--pearl-file"], 3)])
+    def test_oracle_check_is_priced_once_before_its_pearl_is_built(self, source, M, monkeypatch,
+                                                                  path3_source, capsys):
+        events, guard, comb = [], cli._guard_memory, cli.make_comb_pearl
+        monkeypatch.setattr(cli, "_guard_memory", lambda *a: events.append(a) or guard(*a))
+        monkeypatch.setattr(cli, "make_comb_pearl", lambda d: events.append("comb") or comb(d))
+        source = path3_source if source == ["--pearl-file"] else source
+        code, _, _ = run_cli(["oracle-check", *source, "--K", "5"], capsys)
+        assert code == 0
+        assert events[0] == (5, M, 0, True)                     # the eigenvector route
+        assert events[1:] == (["comb"] if "--comb-d" in source else [])
 
     def test_vectors_out_counts_the_lifted_basis(self, no_solve, monkeypatch, tmp_path, capsys):
         # A 1 GiB machine: K = 2^20 at M = 2 has 64 MiB of sector vectors but
@@ -557,7 +581,7 @@ def path_pearl(m):
 PATH_PEARLS = {"path41": path_pearl(41), "path81": path_pearl(81), "path40": path_pearl(40)}
 
 
-@pytest.mark.filterwarnings("ignore::necklace_walks.AmbiguousDegeneracyWarning")
+@pytest.mark.filterwarnings("error::necklace_walks.AmbiguousDegeneracyWarning")
 class TestMemoryEstimates:
     """Each command's tracemalloc peak against the estimate its guard charges.
 
@@ -628,7 +652,8 @@ class TestMemoryEstimates:
                         peak = tracemalloc.get_traced_memory()[1]
                     finally:
                         tracemalloc.stop()
-                    runs.append((argv, peak, calls[-1]))
+                    assert len(calls) == 1, argv         # each command is priced once
+                    runs.append((argv, peak, calls[0]))
         finally:
             cli._guard_memory = original
         return runs

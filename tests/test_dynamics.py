@@ -60,7 +60,8 @@ class TestDegeneracyPartition:
             degeneracy_partition(np.array([0.0, 1.0]), tau)
 
     def test_default_tolerance_scale(self):
-        assert default_degeneracy_tolerance(np.array([-2.0, 1.0])) == pytest.approx(2e-8)
+        # 4096 eps * max|lambda|: solver precision, about 1.8e-12 here.
+        assert default_degeneracy_tolerance(np.array([-2.0, 1.0])) == 2 * 4096 * np.finfo(float).eps
 
     @pytest.mark.parametrize("tau", [None, 1e-9])
     def test_a_sector_by_branch_table_partitions_as_its_ravel(self, tau):
@@ -69,6 +70,35 @@ class TestDegeneracyPartition:
         assert np.array_equal(part.members, flat.members)       # flat indices k * M + n
         assert np.array_equal(part.bounds, flat.bounds)
         assert part.tau_deg == flat.tau_deg
+
+    @pytest.mark.filterwarnings("error::necklace_walks.AmbiguousDegeneracyWarning")
+    def test_default_splits_the_d1_comb_into_its_mirror_pairs_at_K_65536(self):
+        # The true structure: sectors 0 and K/2 alone on each branch, every other
+        # sector k paired with K - k, so 4 + 2 (K/2 - 1) groups.  The smallest
+        # genuine gap, 1.3e-9, lies between such groups.
+        K = 65536
+        spec = full_spectrum(NecklaceSpec(make_comb_pearl(1), K))
+        part = degeneracy_partition(spec.eigenvalues, None)
+        assert not part.ambiguous
+        assert len(part.bounds) - 1 == K + 2
+        sizes = np.diff(part.bounds)
+        assert np.count_nonzero(sizes == 1) == 4 and set(sizes.tolist()) == {1, 2}
+        pairs = part.members[np.repeat(sizes == 2, sizes)].reshape(-1, 2)
+        k = pairs // 2                                          # members are k * M + n
+        assert np.array_equal(k.sum(axis=1), np.full(len(k), K))
+        assert np.array_equal(pairs[:, 0] % 2, pairs[:, 1] % 2)
+
+    @pytest.mark.filterwarnings("error::necklace_walks.AmbiguousDegeneracyWarning")
+    def test_default_keeps_the_d8_flat_band_as_one_group(self):
+        # 8192 zero modes, one a sector, then 8 bands of mirror pairs and 16 single levels.
+        K = 8192
+        spec = full_spectrum(NecklaceSpec(make_comb_pearl(8), K))
+        part = degeneracy_partition(spec.eigenvalues, None)
+        sizes = np.diff(part.bounds)
+        assert len(sizes) == 1 + 8 * (K // 2 - 1) + 16
+        (flat,) = [g for g, size in zip(part.groups, sizes) if size > 2]
+        assert len(flat) == K
+        assert np.abs(spec.eigenvalues.ravel()[flat]).max() < 1e-12
 
 
 class TestProbabilityAtTime:

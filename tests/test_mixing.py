@@ -240,6 +240,27 @@ class TestGapScan:
             assert record.tau_deg == tau
             assert record.min_gap == min_nonzero_gap(values, tau)
 
+    @pytest.mark.filterwarnings("error::necklace_walks.AmbiguousDegeneracyWarning")
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_the_default_tolerance_finds_the_closed_form_gap_at_K_65536(self, d):
+        # With c = cos(2 pi k / K), sector k holds 2c (cycle), c -/+ sqrt(1 + c^2)
+        # (d = 1), or 0 and +/- sqrt(3 + 2c) (d = 2).  Every band is monotone in k
+        # over 0..K/2, so the smallest gap lies between neighbouring k; each step is
+        # written without cancellation from c_k - c_k+1 = 2 sin(pi (2k + 1) / K) sin(pi / K).
+        K = 65536
+        k = np.arange(K // 2)
+        c0, c1 = np.cos(2 * np.pi * k / K), np.cos(2 * np.pi * (k + 1) / K)
+        dc = 2 * np.sin(np.pi * (2 * k + 1) / K) * np.sin(np.pi / K)
+        if d == 0:
+            steps = [2 * dc]
+        elif d == 1:
+            ratio = (c0 + c1) / (np.sqrt(1 + c0 ** 2) + np.sqrt(1 + c1 ** 2))
+            steps = [dc * (1 - ratio), dc * (1 + ratio)]
+        else:
+            steps = [2 * dc / (np.sqrt(3 + 2 * c0) + np.sqrt(3 + 2 * c1))]
+        (record,), _ = gap_scan([d], [K])
+        assert record.min_gap == pytest.approx(min(s.min() for s in steps), rel=1e-6)
+
     def test_cases_run_on_the_calling_thread(self, monkeypatch):
         threads = set()
         solve = mixing.all_sector_eigenvalues
