@@ -61,14 +61,15 @@ def _lift(y: np.ndarray, k: np.ndarray, K: int) -> np.ndarray:
 
     ``y[s, :, c]`` is vector c of sector ``k[s]``.  Column (s, c) of the
     result, in that order, places ``exp(i p_k j) / sqrt(K) * y[s, :, c]``
-    on pearl j for j = 1..K.  The basis is filled one pearl at a time, so
-    the lift needs little more than the basis itself.
+    on pearl j for j = 1..K.  The basis is filled in blocks of pearls with
+    at most K phases each, so the lift needs little more than the basis itself.
     """
     p = 2.0 * np.pi * np.asarray(k) / K
     y = np.ascontiguousarray(y.transpose(1, 0, 2))                     # [m, s, c]
     lifted = np.empty((K,) + y.shape, dtype=complex)
-    for j in range(K):
-        np.multiply(np.exp(1j * p * (j + 1))[:, None], y, out=lifted[j])
+    pearl, step = np.arange(1, K + 1)[:, None], max(1, K // len(p))
+    for j in range(0, K, step):
+        np.multiply(np.exp(1j * p * pearl[j:j + step])[:, None, :, None], y, out=lifted[j:j + step])
     lifted /= math.sqrt(K)
     return lifted.reshape(K * len(y), -1)
 

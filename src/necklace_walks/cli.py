@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import comb_analytics, dynamics, mixing, oracle
+from . import bloch, comb_analytics, dynamics, mixing, oracle
 from .bloch import all_sector_eigenvalues, full_spectrum
 from .errors import NecklaceError, finite_above
 from .graphs import (
@@ -270,32 +270,31 @@ def _add_necklace(parser: argparse.ArgumentParser, start: bool = False) -> None:
 
 
 def cmd_spectrum(args) -> int:
-    # --vectors-out adds the eigenvector solve and the lifted basis, filled in place.
+    # --vectors-out takes one eigenvector solve for both files and lifts one sector at a time.
     dump = args.vectors_out is not None
-    necklace = _necklace_from_args(args, dump, lambda K, M: 16 * (K * M) ** 2 if dump else 0)
+    necklace = _necklace_from_args(args, dump)
     K, M = necklace.K, necklace.pearl.m
+    spec = full_spectrum(necklace) if dump else None
     # Row K-k repeats row k bit for bit; _format_column formats each distinct value once.
-    table = _format_column(all_sector_eigenvalues(necklace))
-    lines = _rows(_labels(K)[:, None], _labels(M), table)
-    _write_lines(["k,n,lambda", *lines], args.output)
+    values = spec.eigenvalues if dump else all_sector_eigenvalues(necklace)
+    _write_lines(["k,n,lambda", *_rows(_labels(K)[:, None], _labels(M), _format_column(values))],
+                 args.output)
     if dump:
-        # The eigenvector solve; each record's lambda is the one solved with its vector.
-        spec = full_spectrum(necklace)
-        vectors = spec.vectors
         with open(args.vectors_out, "w", encoding="utf-8", newline="") as handle:
             # One record at a time, laid out as json.dump(records, indent=1) lays out the list.
             handle.write("[\n")
-            for a in range(K * M):
-                k, n = divmod(a, M)
-                record = {
-                    "k": k,
-                    "n": n,
-                    "lambda": float(spec.eigenvalues[k, n]),
-                    "vector_re": vectors[:, a].real.tolist(),
-                    "vector_im": vectors[:, a].imag.tolist(),
-                }
-                text = json.dumps(record, indent=1).replace("\n", "\n ")
-                handle.write((",\n " if a else " ") + text)
+            for k in range(K):
+                block = bloch._lift(spec.sector_vectors[k:k + 1], np.array([k]), K)   # (N, M)
+                for n in range(M):
+                    record = {
+                        "k": k,
+                        "n": n,
+                        "lambda": float(spec.eigenvalues[k, n]),
+                        "vector_re": block[:, n].real.tolist(),
+                        "vector_im": block[:, n].imag.tolist(),
+                    }
+                    text = json.dumps(record, indent=1).replace("\n", "\n ")
+                    handle.write((",\n " if k or n else " ") + text)
             handle.write("\n]\n")
     return EXIT_OK
 
@@ -451,7 +450,7 @@ def cmd_oracle_check(args) -> int:
 def _spectrum_options(parser: argparse.ArgumentParser) -> None:
     _add_necklace(parser)
     parser.add_argument("--vectors-out", default=None, metavar="PATH",
-                        help="also dump lifted eigenvectors as JSON (adds the eigenvector solve)")
+                        help="also dump lifted eigenvectors as JSON; one solve writes both files")
 
 
 def _limiting_options(parser: argparse.ArgumentParser) -> None:

@@ -128,6 +128,15 @@ class TestLift:
         table = phases[:, None, :, None] * y.transpose(1, 0, 2)[None] / math.sqrt(K)
         assert np.array_equal(bloch._lift(y, np.arange(K), K), table.reshape(K * 4, -1))
 
+    @pytest.mark.parametrize("sectors", [[3], [1, 5], [0, 2, 6]])
+    def test_some_sectors_lift_to_their_columns_of_the_basis(self, sectors, custom_pearl):
+        # Pearl blocks of 7, of 3, 3 and 1, and of 2, 2, 2 and 1.
+        K, M = 7, custom_pearl.m
+        spec = full_spectrum(NecklaceSpec(custom_pearl, K))
+        block = bloch._lift(spec.sector_vectors[sectors], np.array(sectors), K)
+        columns = [k * M + n for k in sectors for n in range(M)]
+        assert np.array_equal(block, spec.vectors[:, columns])
+
     def test_peak_memory_is_the_basis(self):
         # At M = 1 a K x K plane-wave table beside the basis would double the peak.
         K = 1200

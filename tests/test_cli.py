@@ -141,6 +141,32 @@ class TestSpectrumCommand:
         assert code == 0, err
         assert out == spectrum_rows_by_row(pearl, 9)
 
+    def test_vectors_out_takes_one_solve_and_no_basis(self, monkeypatch, tmp_path, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dump took a second solve or read the dense basis")
+
+        monkeypatch.setattr(cli, "all_sector_eigenvalues", refuse)
+        monkeypatch.setattr(bloch.FullSpectrum, "vectors", property(refuse))
+        path = tmp_path / "v.json"
+        code, out, err = run_cli(["spectrum", "--comb-d", "3", "--K", "9", "--vectors-out",
+                                  str(path)], capsys)
+        assert code == 0, err
+        records = json.loads(path.read_text())
+        assert [r[2] for r in csv_rows(out)[0]] == [f"{r['lambda']:.15g}" for r in records]
+
+    def test_vectors_out_holds_no_basis(self, tmp_path):
+        # N = 480: the lifted basis alone would take 16 N^2 bytes, 3.7 MB.
+        argv = ["spectrum", "--comb-d", "3", "--K", "120", "--vectors-out",
+                str(tmp_path / "v.json"), "--output", str(tmp_path / "s.csv")]
+        assert main(argv) == 0                  # the first call's imports are not traced
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 480**2
+
     def test_vectors_out_takes_the_eigenvector_solve(self, monkeypatch, tmp_path, capsys):
         def refuse(*args, **kwargs):
             raise AssertionError("reached full_spectrum")
@@ -412,8 +438,8 @@ class TestDenseLiftOnDemand:
     def no_lift(self, monkeypatch):
         from necklace_walks import bloch
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("the dense lifted basis was built")
+        def refuse(y, k, K):
+            raise AssertionError(f"bloch._lift reached with {len(k)} of {K} sectors")
 
         monkeypatch.setattr(bloch, "_lift", refuse)
 
@@ -438,8 +464,10 @@ class TestDenseLiftOnDemand:
         ["oracle-check", "--comb-d", "1", "--K", "4"],
     ])
     def test_dense_readers_do_lift(self, no_lift, argv, tmp_path, capsys):
+        # The dump lifts one sector at a time; only oracle-check builds the whole basis.
+        sectors = 1 if "VECTORS" in argv else 4
         argv = [str(tmp_path / "v.json") if a == "VECTORS" else a for a in argv]
-        with pytest.raises(AssertionError, match="lifted basis"):
+        with pytest.raises(AssertionError, match=f"with {sectors} of 4 sectors"):
             main(argv)
 
 
@@ -546,31 +574,40 @@ class TestMemoryGuard:
         assert events[1:] == (["comb"] if "--comb-d" in source else [])
 
     def test_vectors_out_counts_the_lifted_basis(self, no_solve, monkeypatch, tmp_path, capsys):
-        # A 1 GiB machine: K = 2^20 at M = 2 has 64 MiB of sector vectors but
-        # a 64 TiB lifted basis.
+        # A 1 GiB machine: K = 2^20 at M = 2 fits the eigenvalue route, and the refusal
+        # comes from the eigenvector route's own price, about 1.06 GiB.
         monkeypatch.setattr(os, "sysconf", lambda name: 1 << 20 if name == "SC_PAGE_SIZE" else 1024)
         cli._guard_memory(1 << 20, 2)
         argv = ["spectrum", "--comb-d", "1", "--K", str(1 << 20),
                 "--vectors-out", str(tmp_path / "v.json")]
-        code, _, err = run_cli(argv, capsys)
+        code, out, err = run_cli(argv, capsys)
         assert code == 1
         assert "the 1 GiB of physical memory" in err
+        assert out == "" and not (tmp_path / "v.json").exists()
 
-    def test_vectors_out_refuses_a_machine_short_of_the_basis(self, no_solve, monkeypatch,
-                                                              tmp_path, capsys):
-        # The cycle at K = 2^20 lifts a 16 TiB basis; the machine is one 1 MiB page short
-        # of it, and has room for the sector stack.
-        K = 1 << 20
-        monkeypatch.setattr(os, "sysconf",
-                            lambda name: 1 << 20 if name == "SC_PAGE_SIZE" else (16 << 20) - 1)
-        cli._guard_memory(K, 1)
-        path = tmp_path / "v.json"
-        code, out, err = run_cli(["spectrum", "--cycle", "--K", str(K), "--vectors-out",
-                                  str(path)], capsys)
-        assert code == 1
-        assert out == ""
-        assert "GiB of physical memory" in err
-        assert not path.exists()
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--comb-d", "1"],
+        ["spectrum", "--comb-d", "1", "--vectors-out", "VECTORS"],
+        ["limiting", "--comb-d", "2", "--start", "0"],
+        ["mix", "--cycle", "--start", "0", "--eps", "0.1", "--T-hi", "100"],
+        ["gap-scan", "--d", "0,1,3"],
+    ])
+    def test_each_price_is_linear_in_K(self, argv, monkeypatch, tmp_path):
+        class Priced(Exception):
+            pass
+
+        need = []
+
+        def record(*args):
+            need.append(cli._need_bytes(*args))
+            raise Priced
+
+        monkeypatch.setattr(cli, "_guard_memory", record)
+        argv = [str(tmp_path / "v.json") if a == "VECTORS" else a for a in argv]
+        for K in (4096, 8192):
+            with pytest.raises(Priced):
+                main([*argv, "--K", str(K)])
+        assert need[1] <= 2 * need[0]
 
 
 def path_pearl(m):

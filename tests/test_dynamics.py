@@ -43,6 +43,11 @@ def cycle_setup(K):
     return neck, full_spectrum(neck), vertex_state(neck, 1, 1)
 
 
+# One root each, so the sector term 2 cos(p_k) sits on vertex 1.
+STAR = make_custom_pearl(4, [(1, 2), (1, 3), (1, 4)], 1, 1)
+TRIANGLE = make_custom_pearl(3, [(1, 2), (2, 3), (1, 3)], 1, 1)
+
+
 class TestDegeneracyPartition:
     def test_groups_by_threshold(self):
         part = degeneracy_partition(np.array([0.0, 1e-12, 1.0, 1.0 + 5e-9, 3.0]), 1e-8)
@@ -99,6 +104,48 @@ class TestDegeneracyPartition:
         (flat,) = [g for g, size in zip(part.groups, sizes) if size > 2]
         assert len(flat) == K
         assert np.abs(spec.eigenvalues.ravel()[flat]).max() < 1e-12
+
+    @pytest.mark.filterwarnings("error::necklace_walks.AmbiguousDegeneracyWarning")
+    def test_default_keeps_the_star_pearls_pendant_band_as_one_group(self):
+        # Two zero modes a sector on the pendant vertices, then the other two branches
+        # in mirror pairs with 4 single levels: 1 + 2 (K/2 - 1) + 4 groups.
+        K = 4096
+        spec = full_spectrum(NecklaceSpec(STAR, K))
+        part = degeneracy_partition(spec.eigenvalues, None)
+        sizes = np.diff(part.bounds)
+        assert not part.ambiguous
+        assert len(sizes) == K + 3
+        flat = part.groups[int(np.argmax(sizes))]
+        assert len(flat) == 2 * K
+        assert np.abs(spec.eigenvalues.ravel()[flat]).max() < 1e-12
+
+    @pytest.mark.filterwarnings("error::necklace_walks.AmbiguousDegeneracyWarning")
+    @pytest.mark.parametrize("K, largest", [(8, 10), (10, 10), (12, 14)])
+    def test_default_joins_the_triangle_pearls_tie_to_its_flat_band(self, K, largest):
+        # The flat band at -1, once a sector, meets the triangle's other -1 at sectors
+        # K/4 and 3K/4, where the root's 2 cos(p_k) vanishes, when 4 divides K.
+        spec = full_spectrum(NecklaceSpec(TRIANGLE, K))
+        part = degeneracy_partition(spec.eigenvalues, None)
+        sizes = np.diff(part.bounds)
+        assert not part.ambiguous
+        assert sizes.max() == largest
+        group = part.groups[int(np.argmax(sizes))]
+        assert np.abs(spec.eigenvalues.ravel()[group] + 1).max() < 1e-12
+
+    @pytest.mark.filterwarnings("error::necklace_walks.AmbiguousDegeneracyWarning")
+    @pytest.mark.parametrize("pearl", ["star", "triangle"])
+    @pytest.mark.parametrize("K", [8, 10])
+    def test_limiting_matches_dense_projectors(self, pearl, K):
+        pearl = {"star": STAR, "triangle": TRIANGLE}[pearl]
+        neck = NecklaceSpec(pearl, K)
+        values, basis = np.linalg.eigh(assemble_hamiltonian(neck))
+        # The dense spectrum's gaps are at least 0.05 here, so any small threshold groups it.
+        groups = np.split(np.arange(len(values)), np.flatnonzero(np.diff(values) > 1e-8) + 1)
+        spec = full_spectrum(neck)
+        for m in range(1, pearl.m + 1):
+            phi = vertex_state(neck, 1, m)
+            dense = sum(np.abs(basis[:, g] @ (basis[:, g].conj().T @ phi)) ** 2 for g in groups)
+            assert np.abs(limiting_distribution(spec, phi) - dense).max() < 1e-12
 
 
 class TestProbabilityAtTime:
