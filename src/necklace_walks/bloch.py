@@ -14,8 +14,9 @@ built from one form, C0 + cos t C1 + sin t C2 (:func:`_sector_terms`).
 Y_{K-k} is the complex conjugate of Y_k, so only k = 0..K//2 are
 diagonalized, in one stacked solve.  For eigenvalues alone, a pearl whose
 graph is single-rooted or a d >= 2 comb is solved as a real symmetric
-stack with the same spectra, and a bipartite pearl whose link joins its
-two colour classes by the singular values of one off-diagonal block.
+stack with the same spectra, a bipartite pearl whose link joins its two
+colour classes by the singular values of one off-diagonal block, and any
+other one- or two-vertex pearl by LAPACK's own 1 x 1 and 2 x 2 arithmetic.
 Sector eigenvectors are lifted back to the necklace by the plane-wave
 phases only when a dense basis is read.
 """
@@ -204,14 +205,51 @@ def _chiral_values(block: np.ndarray) -> np.ndarray:
     return np.concatenate([0.0 - s, zeros, s[:, ::-1]], axis=1)    # 0 - s: no -0.0
 
 
+def _small_values(stack: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh`` of a real symmetric (n, M, M) stack with M <= 2, bit for bit.
+
+    LAPACK's ``dsyevd`` returns a 1 x 1 matrix's entry.  A 2 x 2 block
+    [[a, b], [b, c]] is already tridiagonal, and ``dsterf`` splits it when
+    |b| <= sqrt|a| sqrt|c| eps or b^2 <= eps^2 |a c| (eps the unit
+    roundoff), else solves it by ``dlae2`` (LAPACK Users' Guide, 3rd
+    ed., SIAM 1999), then sorts each row ascending.  This is the same
+    arithmetic in the same order, so it holds while neither routine
+    rescales: ``dsyevd`` does for a largest entry above about 1e146 or
+    below about 1e-146, ``dsterf`` for one above about 2.2e153 or below
+    about 1.2e-122.  Sector entries lie near 1.
+    """
+    if stack.shape[-1] == 1:
+        return stack[:, :, 0]
+    a, c, b = stack[:, 0, 0], stack[:, 1, 1], stack[:, 1, 0]
+    eps = np.finfo(float).eps / 2
+    abs_a, abs_c, b2 = np.abs(a), np.abs(c), b * b
+    split = np.abs(b) <= np.sqrt(abs_a) * np.sqrt(abs_c) * eps
+    split |= b2 <= eps ** 2 * (abs_a * abs_c)
+    b = np.sqrt(b2)                                                 # dsterf squares b, then roots it
+    sm, adf, ab = a + c, np.abs(a - c), b + b
+    large, small = np.maximum(adf, ab), np.minimum(adf, ab)
+    with np.errstate(divide="ignore", invalid="ignore"):           # 0 / 0 only on split rows
+        rt = large * np.sqrt(1.0 + (small / large) ** 2)
+        rt1 = (sm + np.copysign(rt, sm + 0.0)) / 2
+        a_larger = abs_a > abs_c
+        rt2 = (np.where(a_larger, a, c) / rt1) * np.where(a_larger, c, a) - (b / rt1) * b
+    rt2 = np.where(sm == 0, -rt / 2, rt2)
+    lo, hi = np.where(split, a, rt2), np.where(split, c, rt1)
+    swap = hi < lo                                                   # dlasrt's insertion sort
+    return np.stack([np.where(swap, hi, lo), np.where(swap, lo, hi)], axis=1)
+
+
 def _solve_half(pearl: PearlSpec, K: int, vectors: bool):
     """Stacked eigensolve of Y_k for k = 0..K//2: ``eigh``, or eigenvalues alone.
 
     Eigenvalues alone come from the real form of :func:`_sector_terms`
     when the pearl's graph has one, else from the complex stack.  When the
     pearl has colour classes (:func:`_colour_classes`) they are the signed
-    singular values of the stack's c0 x c1 block, with no ``eigvalsh``;
-    every other pearl takes ``eigvalsh``.
+    singular values of the stack's c0 x c1 block, with no ``eigvalsh``.
+    Any other pearl with at most two vertices is single-rooted, so its
+    stack is real, and :func:`_small_values` gives what ``eigvalsh``
+    would, bit for bit, without calling it.  Every other pearl takes
+    ``eigvalsh``.
     """
     p = 2.0 * np.pi * np.arange(K // 2 + 1) / K
     try:
@@ -220,7 +258,8 @@ def _solve_half(pearl: PearlSpec, K: int, vectors: bool):
         terms, n = _sector_terms(pearl, True) or _sector_terms(pearl, False)
         classes = _colour_classes(pearl)
         if classes is None:
-            return np.linalg.eigvalsh(_stack(terms, n, p))
+            stack = _stack(terms, n, p)
+            return _small_values(stack) if pearl.m <= 2 else np.linalg.eigvalsh(stack)
         c0, c1 = classes
         return _chiral_values(_stack(terms[:, c0][:, :, c1], n, p))
     except np.linalg.LinAlgError as exc:
@@ -257,9 +296,11 @@ def all_sector_eigenvalues(necklace: NecklaceSpec) -> np.ndarray:
     Hermitian stack.  A pearl with colour classes (the even-d combs among
     others) takes each row from the singular values s of the stack's
     m0 x m1 block, as -s, |m0 - m1| exact zeros (its flat bands) and +s,
-    with no ``eigvalsh``.  Values can differ from :func:`full_spectrum`'s
-    in the last digits; the ties that symmetry forces are exact, and rows
-    k and K-k are equal bit for bit.
+    with no ``eigvalsh``.  Any other pearl of one or two vertices (the
+    cycle, the d = 1 comb) takes LAPACK's own 1 x 1 and 2 x 2 arithmetic,
+    vectorised, with the bits ``eigvalsh`` gives.  Values can differ from
+    :func:`full_spectrum`'s in the last digits; the ties that symmetry
+    forces are exact, and rows k and K-k are equal bit for bit.
     """
     return _mirror(_solve_half(necklace.pearl, necklace.K, vectors=False), necklace.K)
 

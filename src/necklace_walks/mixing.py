@@ -161,8 +161,9 @@ def gap_scan(d_list, k_list) -> tuple[list[GapScanRecord], dict[int, float]]:
     since scaling by 2 is exact, so K's sectors are bit for bit the even
     sectors of 2K.  Each pearl therefore solves only the largest K of each
     chain, its head, and slices every other member's rows out of the
-    head's table; the records are those of a solve per K.  Chains run one
-    at a time, so the peak memory is one head table.
+    head's table; the records are those of a solve per K.  Each pearl is
+    built once per d, and chains run one at a time, so the peak memory is
+    one head table.
     """
     d_list = [int(d) for d in d_list]
     k_list = [int(k) for k in k_list]
@@ -179,9 +180,8 @@ def gap_scan(d_list, k_list) -> tuple[list[GapScanRecord], dict[int, float]]:
 
     def one_chain(case: tuple[int, list[int]]) -> list[GapScanRecord]:
         d, members = case
-        pearl = make_cycle_pearl() if d == 0 else make_comb_pearl(d)
         head = max(members)
-        table = all_sector_eigenvalues(NecklaceSpec(pearl, head))
+        table = all_sector_eigenvalues(NecklaceSpec(pearls[d], head))
         chain = []
         for k in members:
             # Rows k and K-k are bit-identical, so rows 0..K//2 hold every
@@ -192,7 +192,9 @@ def gap_scan(d_list, k_list) -> tuple[list[GapScanRecord], dict[int, float]]:
                                        tau_deg=tau))
         return chain
 
-    cases = [(d, members) for d in dict.fromkeys(d_list) for members in chains.values()]
+    pearls = {d: make_cycle_pearl() if d == 0 else make_comb_pearl(d)
+              for d in dict.fromkeys(d_list)}
+    cases = [(d, members) for d in pearls for members in chains.values()]
     found = {(r.d, r.K): r for chain in ordered_map(one_chain, cases) for r in chain}
     records = [found[d, k] for d in d_list for k in k_list]
     slopes: dict[int, float] = {}

@@ -458,7 +458,7 @@ def has_colour_classes(pearl):
 
 def refuse_eigvalsh(patch):
     def refuse(*args, **kwargs):
-        raise AssertionError("eigvalsh ran on a pearl with colour classes")
+        raise AssertionError("eigvalsh ran on a route that solves without it")
 
     patch.setattr(np.linalg, "eigvalsh", refuse)
 
@@ -539,8 +539,6 @@ class TestChiralSolve:
             assert np.abs(table - np.stack([-s, 0 * s, s], axis=1)).max() < 1e-12
 
     @pytest.mark.parametrize("pearl", [
-        make_cycle_pearl(),
-        make_comb_pearl(1),                                            # single root
         make_custom_pearl(3, [(1, 2), (2, 3)], 2, 2),                  # single root, bipartite graph
         make_comb_pearl(3),                                            # both roots in one class
         make_comb_pearl(5),
@@ -551,3 +549,71 @@ class TestChiralSolve:
         assert bloch._colour_classes(pearl) is None
         all_sector_eigenvalues(NecklaceSpec(pearl, 9))
         assert eigvalsh_shapes == [(5, pearl.m, pearl.m)]
+
+
+def assert_bitwise_equal(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()        # unlike ==, tells -0.0 from 0.0
+
+
+@st.composite
+def symmetric_2x2_stacks(draw):
+    """Real symmetric (n, 2, 2) stacks, each entry +/-0 or +/-x with x in [1e-100, 1e100].
+
+    Rows come in kinds: free entries, equal or opposite diagonals, small
+    integers, and an off-diagonal 2^-j times the diagonal, j = 40..60,
+    which straddles the split tests at the unit roundoff 2^-53.
+    """
+    magnitude = st.floats(1e-100, 1e100) | st.floats(-100, 100).map(lambda e: 10.0 ** e)
+    entry = st.sampled_from([0.0, -0.0]) | st.builds(lambda x, neg: -x if neg else x,
+                                                     magnitude, st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(1, 24), label="n")):
+        kind = draw(st.sampled_from(["free", "equal", "opposite", "integer", "near split"]))
+        if kind == "integer":
+            a, c, b = (float(draw(st.integers(-4, 4))) for _ in range(3))
+        else:
+            a, c, b = draw(entry), draw(entry), draw(entry)
+        if kind == "equal":
+            c = a
+        elif kind == "opposite":
+            c = -a
+        elif kind == "near split":
+            b = a * 2.0 ** -draw(st.integers(40, 60))
+        rows.append([[a, b], [b, c]])
+    return np.array(rows)
+
+
+class TestSmallSolve:
+    """Pearls of one or two vertices without colour classes take :func:`bloch._small_values`."""
+
+    @pytest.mark.parametrize("K", [3, 4, 601, 11585])
+    @pytest.mark.parametrize("pearl", [
+        make_cycle_pearl(),
+        make_comb_pearl(1),                                            # single root
+        make_custom_pearl(2, [(1, 2)], 2, 2),                          # single root on the tooth
+    ], ids=["cycle", "comb1", "tooth_root"])
+    def test_one_and_two_vertex_pearls_skip_eigvalsh_bit_for_bit(self, pearl, K, monkeypatch):
+        assert bloch._colour_classes(pearl) is None
+        p = 2.0 * np.pi * np.arange(K // 2 + 1) / K
+        expected = np.linalg.eigvalsh(bloch._stack(*bloch._sector_terms(pearl, True), p))
+        refuse_eigvalsh(monkeypatch)
+        table = all_sector_eigenvalues(NecklaceSpec(pearl, K))
+        assert np.array_equal(table, bloch._mirror(expected, K))
+        assert_bitwise_equal(table[: K // 2 + 1], expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(stack=symmetric_2x2_stacks())
+    def test_two_by_two_stacks_are_eigvalsh_bit_for_bit(self, stack):
+        """Inside [1e-100, 1e100] neither ``dsyevd`` nor ``dsterf`` rescales a block.
+
+        ``dsterf`` rescales one whose largest entry is above about 2.2e153 or
+        below about 1.2e-122 (``dsyevd`` a matrix above about 1e146), and the
+        result can then differ in the last bit; sector entries never get near either.
+        """
+        assert_bitwise_equal(bloch._small_values(stack), np.linalg.eigvalsh(stack))
+
+    def test_one_by_one_stacks_are_their_entries(self):
+        stack = np.array([-2.0, -0.0, 0.0, 1e-300, 3.5])[:, None, None]
+        assert_bitwise_equal(bloch._small_values(stack), np.linalg.eigvalsh(stack))
